@@ -51,7 +51,7 @@ def cmd_commute(args):
 def cmd_subdivide(args):
     sub = subdivision(_load_diagram(args.diagram), max_rank=args.max_rank)
     if args.out == "dot":
-        print(sub.to_dot())
+        print(sub.complex.to_dot("subdivision"))
     else:
         print(json.dumps(sub.to_json(), indent=2, sort_keys=True))
     return 0
@@ -126,8 +126,9 @@ def cmd_verify(args):
                 config = json.load(fh)
         else:
             config = json.loads(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+        if not isinstance(config, dict):
+            raise ValueError("--config must be a JSON object, got %s"
+                             % type(config).__name__)
     if args.budget is not None:
         config["budget"] = args.budget
     result = run_suite(args.suite, config)
@@ -148,7 +149,7 @@ def cmd_export(args):
     else:
         sub = subdivision(diagram, max_rank=args.max_rank)
         if args.format == "dot":
-            print(sub.to_dot())
+            print(sub.complex.to_dot("subdivision"))
         else:
             print(json.dumps(sub.to_json(), indent=2, sort_keys=True))
     return 0
@@ -221,7 +222,6 @@ def build_parser():
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--config", default=None,
                    help="JSON options, inline or a file path")
-    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
 

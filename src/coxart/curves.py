@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .diagram import CoxeterDiagram, DiagramError, sort_key
-from .garside import delta_power, inverse_word
-from .nerve import commuting_subsets, subdivision, subset_name
+from .garside import delta_power
+from .nerve import nested_or_commuting, subdivision, subset_name
 from .raag import (
     ChoiceMap,
     FlagComplex,
@@ -24,6 +24,7 @@ from .raag import (
     generalized_pp_check,
     pp_search,
     raag_commutator,
+    raag_inverse,
     raag_is_trivial,
     raag_normal_form,
     validate_choice,
@@ -97,12 +98,6 @@ def to_word_system(system):
     return WordSystem(cx, words)
 
 
-def subsets_commute(diagram, a, b):
-    """z_a and z_b commute: nested subsets or all cross labels equal 2."""
-    a, b = frozenset(a), frozenset(b)
-    return a <= b or b <= a or commuting_subsets(diagram, a, b)
-
-
 def audit_system(system):
     """Check the three structural constraints every curve system satisfies:
     multicurves are internally disjoint, commuting subsets have disjoint
@@ -126,7 +121,7 @@ def audit_system(system):
                 for b in system.boundary[s2]
                 if system.intersects(a, b)
             ]
-            if subsets_commute(system.diagram, s1, s2):
+            if nested_or_commuting(system.diagram, s1, s2):
                 if crossing:
                     defects.append(
                         "commuting %s / %s intersect: %s"
@@ -366,6 +361,8 @@ def build_e7_figure():
 
 
 def build_system(family, rank=None):
+    if family in ("An", "Dn") and rank is None:
+        raise DiagramError("the %s family needs a rank" % family)
     if family == "An":
         return build_an(rank)
     if family == "Dn":
@@ -517,7 +514,7 @@ def e7_kernel_check(power=1, artin_engine=None):
     v_set = ("t2", "t3", "t4", "t5", "t6", "s")
     dp = lambda sub_, e: delta_power(diagram, sub_, 2 * power * e)
     inner = dp(t_set, 1) + dp(u_set, 1) + [("s", 2 * power)] + dp(u_set, -1) + dp(t_set, -1)
-    artin_word = inner + dp(v_set, 1) + inverse_word(inner) + dp(v_set, -1)
+    artin_word = inner + dp(v_set, 1) + raag_inverse(inner) + dp(v_set, -1)
     eng = artin_engine
     if eng is None:
         eng = ArtinEngine(build_group(diagram))

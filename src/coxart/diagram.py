@@ -313,10 +313,6 @@ def is_spherical(diagram, subset=None):
     return finite_type(diagram, subset).is_spherical
 
 
-def is_irreducible(diagram, subset=None):
-    return len(irreducible_components(diagram, subset)) == 1
-
-
 def type_diagram(family, n, p=None, prefix="s"):
     """The standard diagram of an irreducible finite type.
 

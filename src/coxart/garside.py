@@ -11,7 +11,8 @@ import os
 from collections import deque
 
 from .diagram import DiagramError, finite_type, irreducible_components, sort_key
-from .wgroup import WGroup, build_group
+from .raag import raag_inverse
+from .wgroup import WGroup
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
 _BUDGET_ENV = "COXART_LETTER_BUDGET"
@@ -47,34 +48,6 @@ def parse_word(text):
         if exp != 0:
             word.append((gen, exp))
     return word
-
-
-def format_word(word):
-    return " ".join(g if e == 1 else "%s^%d" % (g, e) for g, e in word)
-
-
-def normalize_letters(word):
-    """Merge adjacent equal generators, drop zero exponents."""
-    out = []
-    for g, e in word:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            merged = out[-1][1] + e
-            out.pop()
-            if merged:
-                out.append((g, merged))
-        else:
-            out.append((g, e))
-    return out
-
-
-def inverse_word(word):
-    return [(g, -e) for g, e in reversed(word)]
-
-
-def commutator(w1, w2):
-    return list(w1) + list(w2) + inverse_word(w1) + inverse_word(w2)
 
 
 def word_length(word):
@@ -184,13 +157,6 @@ class _NFState(object):
         self.parity = 0
         self.seq = []
 
-    def copy(self):
-        st = _NFState(self.engine)
-        st.k = self.k
-        st.parity = self.parity
-        st.seq = list(self.seq)
-        return st
-
     def push_word(self, word, budget_used=0):
         used = budget_used + word_length(word)
         if used > self.engine.budget:
@@ -298,7 +264,7 @@ def delta_word(diagram, subset, power=1):
     lift = [(g, 1) for g in sub.reduced_word(sub.w0)]
     if power >= 0:
         return lift * power
-    return inverse_word(lift) * (-power)
+    return raag_inverse(lift) * (-power)
 
 
 def delta_power(diagram, subset, power):
@@ -309,7 +275,3 @@ def delta_power(diagram, subset, power):
     if not finite_type(diagram, subset).is_spherical:
         raise DiagramError("subset %s is not spherical" % sorted(subset, key=sort_key))
     return delta_word(diagram, subset, power)
-
-
-def engine_for(diagram, subset=None, budget=None):
-    return ArtinEngine(build_group(diagram, subset), budget)

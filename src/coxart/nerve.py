@@ -98,12 +98,6 @@ class SubdividedNerve:
     complex: FlagComplex
     vertex_subsets: dict  # name -> frozenset of generators
 
-    def subset_of(self, name):
-        return self.vertex_subsets[name]
-
-    def name_of(self, subset):
-        return subset_name(subset)
-
     def triangles(self):
         out = []
         vs = self.complex.vertices
@@ -125,24 +119,25 @@ class SubdividedNerve:
         }
         return doc
 
-    def to_dot(self):
-        lines = ["graph subdivision {"]
-        for name in self.complex.vertices:
-            lines.append('  "%s";' % name)
-        for a, b in sorted(
-            (sorted(e, key=sort_key) for e in self.complex.edges),
-            key=lambda p: (sort_key(p[0]), sort_key(p[1])),
-        ):
-            lines.append('  "%s" -- "%s";' % (a, b))
-        lines.append("}")
-        return "\n".join(lines)
+
+def nested_or_commuting(diagram, a, b):
+    """z_a and z_b commute: one subset contains the other, or they are
+    disjoint with every cross label equal to 2."""
+    if a <= b or b <= a:
+        return True
+    return not (a & b) and all(diagram.m(x, y) == 2 for x in a for y in b)
 
 
-def commuting_subsets(diagram, a, b):
-    """[a, b] = 1: disjoint subsets with every cross label equal to 2."""
-    if a & b:
-        return False
-    return all(diagram.m(x, y) == 2 for x in a for y in b)
+def _subset_complex(diagram, named):
+    """Flag complex on named subsets, joining the nested or commuting pairs."""
+    ordered = sorted(named, key=sort_key)
+    edges = [
+        (na, nb)
+        for i, na in enumerate(ordered)
+        for nb in ordered[i + 1:]
+        if nested_or_commuting(diagram, named[na], named[nb])
+    ]
+    return FlagComplex.build(ordered, edges)
 
 
 def subdivision(diagram, max_rank=DEFAULT_MAX_RANK):
@@ -150,15 +145,7 @@ def subdivision(diagram, max_rank=DEFAULT_MAX_RANK):
     subs = spherical_subsets(diagram, max_rank)
     irr = [s for s in subs if len(irreducible_components(diagram, s)) == 1]
     names = {subset_name(s): s for s in irr}
-    edge_pairs = []
-    ordered = sorted(names, key=sort_key)
-    for i, na in enumerate(ordered):
-        for nb in ordered[i + 1:]:
-            a, b = names[na], names[nb]
-            if a < b or b < a or commuting_subsets(diagram, a, b):
-                edge_pairs.append((na, nb))
-    cx = FlagComplex.build(ordered, edge_pairs)
-    return SubdividedNerve(diagram, cx, names)
+    return SubdividedNerve(diagram, _subset_complex(diagram, names), names)
 
 
 def complex_on_subsets(diagram, subsets):
@@ -172,14 +159,7 @@ def complex_on_subsets(diagram, subsets):
         if not finite_type(diagram, s).is_spherical:
             raise DiagramError("subset %s is not spherical" % sorted(s, key=sort_key))
         named[subset_name(s)] = s
-    ordered = sorted(named, key=sort_key)
-    edges = []
-    for i, na in enumerate(ordered):
-        for nb in ordered[i + 1:]:
-            a, b = named[na], named[nb]
-            if a < b or b < a or commuting_subsets(diagram, a, b):
-                edges.append((na, nb))
-    return FlagComplex.build(ordered, edges), named
+    return _subset_complex(diagram, named), named
 
 
 def phi_word(diagram, n_power, raag_word, subdivided=None):

@@ -54,9 +54,6 @@ class FlagComplex:
             frozenset(e for e in self.edges if e <= keep),
         )
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
     def cliques(self, max_size=None):
         """All nonempty cliques, smallest-vertex-first enumeration order."""
         order = list(self.vertices)
@@ -96,8 +93,12 @@ def complex_from_json(doc):
 
 
 # -- words -------------------------------------------------------------------
+#
+# Artin words and RAAG words are both syllable lists [(generator, exponent)];
+# these helpers serve both.
 
 def normalize_syllables(word):
+    """Merge adjacent equal generators, drop zero exponents."""
     out = []
     for v, e in word:
         if e == 0:

@@ -13,14 +13,13 @@ from .garside import (
     BudgetExceeded,
     delta_power,
     delta_word,
-    inverse_word,
 )
 from .homology import (
     h1_image,
     independence_check,
     longest_hyperplane_audit,
 )
-from .nerve import subdivision, subset_name
+from .nerve import nested_or_commuting, subdivision, subset_name
 from .raag import (
     FlagComplex,
     WordSystem,
@@ -30,6 +29,7 @@ from .raag import (
     generalized_pp_check,
     pp_search,
     raag_commutator,
+    raag_inverse,
     raag_is_trivial,
     raag_normal_form,
     validate_choice,
@@ -187,7 +187,7 @@ def suite_garside_core(config=None):
                 assert image in diagram.vertices
                 # word level: Delta^-1 x_g Delta = x_tau(g)
                 delta = delta_word(diagram, diagram.vertices, 1)
-                lhs = inverse_word(delta) + [(g, 1)] + delta
+                lhs = raag_inverse(delta) + [(g, 1)] + delta
                 assert eng.equals(lhs, [(image, 1)])
 
         rec.run("delta-sq-coxeter-%s" % tag, check_delta_sq)
@@ -239,7 +239,7 @@ def suite_dihedral_audit(config=None):
             pos, pos_sym = dihedral_identity_words(n)
             assert eng.equals(delta_2n, pos), "Delta^{2n} identity fails"
             assert eng.equals(delta_2n, pos_sym), "tau-symmetric identity fails"
-            neg = inverse_word(pos)
+            neg = raag_inverse(pos)
             neg_expected = delta_word(a2, a2.vertices, -2 * n)
             assert eng.equals(neg_expected, neg), "Delta^{-2n} identity fails"
         rec.run("delta-power-identity-n%d" % n, check_identity)
@@ -409,12 +409,10 @@ def _all_choices(system):
 # -- curve suites ----------------------------------------------------------
 
 def _an_lemma_checks(system):
-    from .curves import subsets_commute
-
     subs = system.subsets()
     for i, t1 in enumerate(subs):
         for t2 in subs[:i]:
-            if subsets_commute(system.diagram, t1, t2):
+            if nested_or_commuting(system.diagram, t1, t2):
                 continue
             b1, b2 = system.boundary[t1], system.boundary[t2]
             for a, b in ((b1, b2), (b2, b1)):
@@ -459,8 +457,6 @@ def suite_an_curves(config=None):
 
 
 def _dn_lemma_checks(system):
-    from .curves import subsets_commute
-
     n = system.rank
     gens = system.diagram.vertices
     t = lambda i: "t%d" % i
@@ -469,7 +465,7 @@ def _dn_lemma_checks(system):
         t1 = frozenset(("s", "s'")) | {t(i) for i in range(1, j + 1)}
         inner = [c for c in system.boundary[t1] if c != "s0"]
         for t2 in system.subsets():
-            if t2 == t1 or subsets_commute(system.diagram, t1, t2):
+            if nested_or_commuting(system.diagram, t1, t2):
                 continue
             b2 = system.boundary[t2]
             hit = [
@@ -632,11 +628,6 @@ def f_preserves_reduced(fold, max_len=4):
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
     tgt_complex, _ = complex_on_subsets(fold.target, image_subsets)
-
-    class _Tgt:
-        complex = tgt_complex
-
-    tgt = _Tgt()
     comp_count = {
         name: len(component_subsets(fold, subset))
         for name, subset in src.vertex_subsets.items()
@@ -647,7 +638,7 @@ def f_preserves_reduced(fold, max_len=4):
     for word in enumerate_reduced_words(src.complex, max_len):
         count += 1
         image = f_word(fold, word, src.vertex_subsets)
-        nf = raag_normal_form(tgt.complex, image)
+        nf = raag_normal_form(tgt_complex, image)
         expected_len = sum(abs(e) * comp_count[v] for v, e in word)
         assert sum(abs(e) for _, e in nf) == expected_len, (
             "F does not preserve reduced length on %s" % (word,)
@@ -661,7 +652,6 @@ def f_preserves_reduced(fold, max_len=4):
 def raaginj_mechanics(fold):
     """The two combinatorial facts behind injectivity of F."""
     from .folding import component_subsets
-    from .nerve import commuting_subsets
 
     src = subdivision(fold.source)
     names = sorted(src.vertex_subsets, key=sort_key)
@@ -676,17 +666,11 @@ def raaginj_mechanics(fold):
             )
             if src.complex.adjacent(a, b):
                 continue
-            sa, sb = src.vertex_subsets[a], src.vertex_subsets[b]
-            if sa <= sb or sb <= sa:
-                continue
             for ca in comps[a]:
                 partners = [
                     cb
                     for cb in comps[b]
-                    if not (
-                        ca <= cb or cb <= ca
-                        or commuting_subsets(fold.target, ca, cb)
-                    )
+                    if not nested_or_commuting(fold.target, ca, cb)
                 ]
                 assert partners, (
                     "component %s of %s has no non-commuting partner in %s"

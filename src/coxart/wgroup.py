@@ -1,116 +1,56 @@
 """Finite Coxeter groups as permutation groups on their root systems.
 
 Elements are permutations of the root index set; all coordinates are exact
-(rationals, extended by sqrt(5) for the H family).  Rank-2 components use a
+(integers, and Z[phi] as integer pairs for H).  Every root system is built
+from its Cartan matrix in simple-root coordinates; rank-2 components use a
 closed-form dihedral action on root indices, so arbitrary I_2(p) needs no
 per-p table.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
+from functools import cmp_to_key
 
 from .diagram import (
     DiagramError,
     finite_type,
     sort_key,
+    type_diagram,
 )
 
 
-class Sqrt5(object):
-    """Exact element a + b*sqrt(5) of the quadratic ring containing the
-    golden ratio; supports ring ops, exact division and sign comparison."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, other):
-        other = _lift(other)
-        return Sqrt5(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _lift(other)
-        return Sqrt5(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return _lift(other) - self
-
-    def __mul__(self, other):
-        other = _lift(other)
-        return Sqrt5(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _lift(other)
-        d = other.a * other.a - 5 * other.b * other.b
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return self * Sqrt5(other.a / d, -other.b / d)
-
-    def __neg__(self):
-        return Sqrt5(-self.a, -self.b)
-
-    def __eq__(self, other):
-        other = _lift(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def sign(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 5 b^2, the sign follows the larger
-        big_a = a * a > 5 * b * b
-        return (1 if a > 0 else -1) if big_a else (1 if b > 0 else -1)
-
-    def __lt__(self, other):
-        return (self - _lift(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _lift(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _lift(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _lift(other)).sign() >= 0
-
-    def __repr__(self):
-        return "Sqrt5(%s, %s)" % (self.a, self.b)
+def phi_mul(x, y):
+    """Product of x = a + b*phi and y = c + d*phi in Z[phi], phi^2 = phi + 1,
+    each held as the integer pair (a, b)."""
+    a, b = x
+    c, d = y
+    return (a * c + b * d, a * d + b * c + b * d)
 
 
-def _lift(x):
-    return x if isinstance(x, Sqrt5) else Sqrt5(x)
+def phi_sign(x):
+    """Exact sign of a + b*phi, from 2(a + b*phi) = (2a + b) + b*sqrt(5)."""
+    a, b = x
+    u = 2 * a + b
+    if u >= 0 and b >= 0:
+        return 1 if u or b else 0
+    if u <= 0 and b <= 0:
+        return -1
+    # opposite signs: the term with the larger square decides
+    return (1 if u > 0 else -1) if u * u > 5 * b * b else (1 if b > 0 else -1)
 
 
-GOLDEN_HALF = Sqrt5(Fraction(1, 4), Fraction(1, 4))  # cos(pi/5)
+def _lex_compare(r, s):
+    """Exact lexicographic comparison of two Z[phi] coefficient tuples."""
+    for (a, b), (c, d) in zip(r, s):
+        sign = phi_sign((a - c, b - d))
+        if sign:
+            return sign
+    return 0
 
 
-def _dot(u, v):
-    s = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        s = s + x * y
-    return s
+#: Cartan entry <alpha_i, alpha_j^vee> for the label m(i, j); m = 4 gives -2
+#: instead when alpha_j is the short root of the pair
+_CARTAN = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 4: (-1, 0), 5: (0, -1)}
 
 
 class _ComponentModel(object):
@@ -127,78 +67,64 @@ class _ComponentModel(object):
         self.reflection_perms = reflection_perms  # per positive root
 
 
-def _vector_model(ctype, simple_vectors, inner=_dot):
-    """Close the root set under reflections and return the component model.
+def _root_model(ctype, diagram):
+    """Close the simple roots under the simple reflections and return the
+    component model.
 
-    Tracks each root's expansion in the simple basis; a root is positive
-    exactly when its expansion coefficients are all >= 0.
+    Roots are coefficient tuples in the simple-root basis, read off the
+    Cartan matrix of `diagram`; positive roots are sorted lexicographically
+    by their coefficients.
     """
-    rank = len(simple_vectors)
-    norms = [inner(a, a) for a in simple_vectors]
-    unit = []
-    for i in range(rank):
-        e = [Fraction(0)] * rank
-        e[i] = Fraction(1)
-        unit.append(tuple(e))
+    n = ctype.rank
+    names = diagram.vertices
+    # the only per-family data: which simple roots are short
+    short = {"B": (n - 1,), "F": (2, 3)}.get(ctype.family, ())
 
-    def reflect(i, vec, exp):
-        c = 2 * inner(simple_vectors[i], vec) / norms[i]
-        new_vec = tuple(x - c * a for x, a in zip(vec, simple_vectors[i]))
-        new_exp = tuple(x - c if j == i else x for j, x in enumerate(exp))
-        return new_vec, new_exp
+    def entry(i, j):
+        m = diagram.m(names[i], names[j])
+        return (-2, 0) if m == 4 and j in short else _CARTAN[m]
 
-    roots = {}
-    queue = list(zip(simple_vectors, unit))
-    for vec, exp in queue:
-        roots[vec] = exp
-    while queue:
-        vec, exp = queue.pop()
-        for i in range(rank):
-            nv, ne = reflect(i, vec, exp)
-            if nv not in roots:
-                roots[nv] = ne
-                queue.append((nv, ne))
+    cartan = [[entry(i, j) for j in range(n)] for i in range(n)]
 
-    def expansion_sign(exp):
-        neg = any((x.sign() if isinstance(x, Sqrt5) else (1 if x > 0 else -1 if x < 0 else 0)) < 0 for x in exp if x != 0)
-        return -1 if neg else 1
+    def reflect(j, root):
+        """s_j(root) = root - <root, alpha_j^vee> alpha_j."""
+        c0 = c1 = 0
+        for i, x in enumerate(root):
+            p0, p1 = phi_mul(x, cartan[i][j])
+            c0 += p0
+            c1 += p1
+        a, b = root[j]
+        return root[:j] + ((a - c0, b - c1),) + root[j + 1:]
 
-    def exp_key(exp):
-        out = []
-        for x in exp:
-            if isinstance(x, Sqrt5):
-                out.append((float(x.a) + float(x.b) * 5 ** 0.5, str(x.a), str(x.b)))
-            else:
-                out.append((float(x), str(x), ""))
-        return tuple(out)
-
-    positives = sorted(
-        (vec for vec, exp in roots.items() if expansion_sign(exp) > 0),
-        key=lambda v: exp_key(roots[v]),
-    )
-    n_pos = len(positives)
-    assert 2 * n_pos == len(roots), "root set not symmetric"
+    simples = [tuple((int(i == j), 0) for i in range(n)) for j in range(n)]
+    found = list(simples)  # breadth-first, so every root follows its parent
+    parent = dict.fromkeys(simples)
+    for root in found:
+        for j in range(n):
+            if root != simples[j]:
+                image = reflect(j, root)  # positive, since root != alpha_j
+                if image not in parent:
+                    parent[image] = (j, root)
+                    found.append(image)
+    n_pos = len(found)
     assert n_pos == ctype.reflection_count, (
         "unexpected root count for %s: %d" % (ctype.tag, n_pos)
     )
-    index = {}
-    for i, vec in enumerate(positives):
-        index[vec] = i
-        index[tuple(-x for x in vec)] = i + n_pos
-    ordered = positives + [tuple(-x for x in vec) for vec in positives]
 
-    def perm_of_reflection(mirror):
-        nrm = inner(mirror, mirror)
-        out = []
-        for vec in ordered:
-            c = 2 * inner(mirror, vec) / nrm
-            out.append(index[tuple(x - c * a for x, a in zip(vec, mirror))])
-        return tuple(out)
+    positives = sorted(found, key=cmp_to_key(_lex_compare))
+    ordered = positives + [tuple((-a, -b) for a, b in r) for r in positives]
+    index = {root: i for i, root in enumerate(ordered)}
+    perms = [tuple(index[reflect(j, root)] for root in ordered) for j in range(n)]
 
-    simple_perms = {
-        g: perm_of_reflection(simple_vectors[i]) for i, g in enumerate(ctype.order)
-    }
-    reflection_perms = [perm_of_reflection(vec) for vec in positives]
+    # s_{s_j beta} = s_j s_beta s_j
+    by_root = {root: perms[j] for j, root in enumerate(simples)}
+    for root in found[n:]:
+        j, prev = parent[root]
+        s, t = perms[j], by_root[prev]
+        by_root[root] = tuple(s[t[s[k]]] for k in range(2 * n_pos))
+
+    simple_perms = {g: perms[j] for j, g in enumerate(ctype.order)}
+    reflection_perms = [by_root[root] for root in positives]
     return _ComponentModel(ctype, n_pos, simple_perms, reflection_perms)
 
 
@@ -219,108 +145,11 @@ def _dihedral_model(ctype, p):
     return _ComponentModel(ctype, p, simple_perms, reflection_perms)
 
 
-def _rank1_model(ctype):
-    (g,) = ctype.order
-    return _ComponentModel(ctype, 1, {g: (1, 0)}, [(1, 0)])
-
-
-def _e8_simple_vectors():
-    half = Fraction(1, 2)
-    a1 = (half, -half, -half, -half, -half, -half, -half, half)
-    a2 = tuple(Fraction(x) for x in (1, 1, 0, 0, 0, 0, 0, 0))
-    rest = []
-    for i in range(6):
-        v = [Fraction(0)] * 8
-        v[i] = Fraction(-1)
-        v[i + 1] = Fraction(1)
-        rest.append(tuple(v))
-    # Bourbaki alpha_3..alpha_8 are e_{i+1} - e_i for i = 1..6
-    return a1, a2, rest
-
-
 def _build_component(ctype):
-    fam, n = ctype.family, ctype.rank
-    if n == 1:
-        return _rank1_model(ctype)
-    if n == 2:
-        p = {"A": 3, "B": 4, "H": 5, "G": 6}.get(fam, ctype.p)
-        return _dihedral_model(ctype, p)
-    if fam == "A":
-        vs = []
-        for i in range(n):
-            v = [Fraction(0)] * (n + 1)
-            v[i] = Fraction(1)
-            v[i + 1] = Fraction(-1)
-            vs.append(tuple(v))
-        return _vector_model(ctype, vs)
-    if fam == "B":
-        vs = []
-        for i in range(n - 1):
-            v = [Fraction(0)] * n
-            v[i] = Fraction(1)
-            v[i + 1] = Fraction(-1)
-            vs.append(tuple(v))
-        last = [Fraction(0)] * n
-        last[n - 1] = Fraction(1)
-        vs.append(tuple(last))
-        return _vector_model(ctype, vs)
-    if fam == "D":
-        vs = []
-        for i in range(n - 1):
-            v = [Fraction(0)] * n
-            v[i] = Fraction(1)
-            v[i + 1] = Fraction(-1)
-            vs.append(tuple(v))
-        last = [Fraction(0)] * n
-        last[n - 2] = Fraction(1)
-        last[n - 1] = Fraction(1)
-        vs.append(tuple(last))
-        return _vector_model(ctype, vs)
-    if fam == "E":
-        a1, a2, rest = _e8_simple_vectors()
-        chain = [a1] + rest[: n - 2]
-        return _vector_model(ctype, chain + [a2])
-    if fam == "F":
-        f = Fraction
-        vs = [
-            (f(0), f(1), f(-1), f(0)),
-            (f(0), f(0), f(1), f(-1)),
-            (f(0), f(0), f(0), f(1)),
-            (f(1, 2), f(-1, 2), f(-1, 2), f(-1, 2)),
-        ]
-        return _vector_model(ctype, vs)
-    if fam == "H":
-        # geometric representation over Q(sqrt 5), basis = simple roots
-        one = Sqrt5(1)
-        zero = Sqrt5(0)
-        gram = [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-        def set_pair(i, j, val):
-            gram[i][j] = val
-            gram[j][i] = val
-
-        set_pair(0, 1, -GOLDEN_HALF)
-        for i in range(1, n - 1):
-            set_pair(i, i + 1, Sqrt5(Fraction(-1, 2)))
-
-        def inner(u, v):
-            s = zero
-            for i, x in enumerate(u):
-                if x == zero:
-                    continue
-                for j, y in enumerate(v):
-                    if y == zero:
-                        continue
-                    s = s + x * gram[i][j] * y
-            return s
-
-        basis = []
-        for i in range(n):
-            v = [zero] * n
-            v[i] = one
-            basis.append(tuple(v))
-        return _vector_model(ctype, basis, inner)
-    raise DiagramError("no root model for %s" % ctype.tag)
+    diagram = type_diagram(ctype.family, ctype.rank, ctype.p or None)
+    if ctype.rank == 2:
+        return _dihedral_model(ctype, diagram.m(*diagram.vertices))
+    return _root_model(ctype, diagram)
 
 
 _MODEL_CACHE = {}
@@ -441,9 +270,6 @@ class WGroup(object):
     def left_descents(self, w):
         return self.right_descents(self.inverse(w))
 
-    def is_identity(self, w):
-        return w == self.identity
-
     def word_to_element(self, word):
         """Product of simple reflections, letters applied left to right."""
         w = self.identity
@@ -487,20 +313,11 @@ class WGroup(object):
                 return w
             w = self.mul_gen(w, up[0])
 
-    def longest(self):
-        return self.w0
-
     def coxeter_element(self, ordering=None):
         return self.word_to_element(ordering if ordering is not None else self.gens)
 
     def coxeter_number(self):
         return self.order(self.coxeter_element())
-
-    def distinct_coxeter_elements(self, max_rank_exhaustive=8):
-        """All Coxeter elements over generator orderings, deduplicated."""
-        if len(self.gens) > max_rank_exhaustive:
-            raise DiagramError("rank too large for exhaustive orderings")
-        return {self.coxeter_element(p) for p in permutations(self.gens)}
 
     def reflections(self):
         """Reflection permutations indexed by the positive root they negate."""
@@ -508,9 +325,6 @@ class WGroup(object):
 
     def reflection_perm(self, root_index):
         return self._reflections[root_index]
-
-    def neg(self, root_index):
-        return (root_index + self.n_pos) % self.size
 
 
 def build_group(diagram, subset=None):

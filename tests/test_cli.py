@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coxart.cli import main
 
 
@@ -94,6 +96,18 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "nf", "--group", "type Q 9", "--word", "s")
     assert code == 2
+    for argv in (("curves", "--family", "Dn"),
+                 ("verify", "an-curves", "--config", "[1]")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tits-classic", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_budget_exit_code(capsys):

@@ -14,11 +14,10 @@ from coxart.curves import (
     lantern_check,
     multitwist_word,
     reference_choice,
-    subsets_commute,
     to_word_system,
 )
 from coxart.diagram import DiagramError
-from coxart.nerve import subset_name
+from coxart.nerve import nested_or_commuting, subset_name
 from coxart.raag import pp_search
 
 ALL_BUILDERS = [
@@ -57,7 +56,7 @@ def test_an_even_interval_meets_everything_noncommuting():
     even = frozenset(t(i) for i in range(1, 5))  # |T| = 4, single curve
     (curve,) = system.multicurve(even)
     for other in system.subsets():
-        if other == even or subsets_commute(system.diagram, even, other):
+        if other == even or nested_or_commuting(system.diagram, even, other):
             continue
         for c in system.multicurve(other):
             assert system.intersects(curve, c), (curve, c)

@@ -8,10 +8,10 @@ from coxart.garside import (
     BudgetExceeded,
     delta_power,
     delta_word,
-    inverse_word,
     parse_word,
     word_length,
 )
+from coxart.raag import raag_inverse as inverse_word
 from coxart.wgroup import build_group
 
 A2 = parse_diagram("vertex s; vertex t; edge s t 3")
@@ -364,7 +364,7 @@ def test_reducible_spherical_group_normal_form():
 
 
 def test_normalize_letters_merges_adjacent():
-    from coxart.garside import normalize_letters
+    from coxart.raag import normalize_syllables as normalize_letters
 
     assert normalize_letters([("s", 1), ("s", 2), ("t", 0), ("s", -3)]) == []
     assert normalize_letters([("s", 1), ("t", 1), ("t", -1), ("s", 1)]) == [

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coxart.diagram import parse_diagram, type_diagram
-from coxart.garside import delta_word, inverse_word, parse_word
+from coxart.garside import delta_word, parse_word
 from coxart.homology import (
     h1_image,
     independence_check,
@@ -12,6 +12,7 @@ from coxart.homology import (
     longest_hyperplane_indices,
     projection,
 )
+from coxart.raag import raag_inverse as inverse_word
 from coxart.wgroup import build_group
 
 A2 = parse_diagram("vertex s; vertex t; edge s t 3")

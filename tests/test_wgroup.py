@@ -1,9 +1,11 @@
+import hashlib
 from itertools import permutations
 
 import pytest
+from sympy.liealgebras.root_system import RootSystem
 
 from coxart.diagram import finite_type, parse_diagram, type_diagram
-from coxart.wgroup import Sqrt5, build_group
+from coxart.wgroup import build_group, phi_mul, phi_sign
 
 RANK_LE4 = [
     ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None),
@@ -15,14 +17,70 @@ RANK_LE4 = [
 ]
 
 
-def test_sqrt5_arithmetic():
-    phi = Sqrt5(1, 1)  # 1 + sqrt5
-    assert phi * phi == Sqrt5(6, 2)
-    assert (phi - 1) * (phi - 1) == Sqrt5(5, 0)
-    assert (Sqrt5(1) / phi) * phi == Sqrt5(1)
-    assert Sqrt5(2, -1).sign() == -1  # 2 - sqrt5 < 0
-    assert Sqrt5(3, -1).sign() == 1
-    assert Sqrt5(0, 1) > 2 and Sqrt5(0, 1) < 3
+#: sha256 of (n_pos, simple permutations, reflection permutations), recorded
+#: from the coordinate-table constructor this one replaced; root indices are
+#: visible in outputs, so the order of the roots must not move
+GOLDEN_PERMS = {
+    ("A", 1, None): "f8f4de929139336fe8fd152a00ff7c7effadc98f9a9c3cee3a6170471d6e31e1",
+    ("A", 2, None): "8a66a0354a199b969b9923fbdcb9b53c393f7285ba16f4081d6e71c0be48656d",
+    ("A", 3, None): "f2a952e71d0d00825d8a021adbba7a39e891eafe5b1b1b980e641f2764105d4b",
+    ("A", 4, None): "3fcfa5f62f294f648288e12952cfe3ae5723646af3c0d017ee8ef0aff25262b5",
+    ("A", 5, None): "e8359e0ed62589eedee15a4323e168aca913d3912d45cff5b53c22f252c943b5",
+    ("A", 6, None): "84b1cbca6eb4d61b734b5ec678ff5800165f192af5f6583d871805b71a46e002",
+    ("A", 7, None): "1cb2ef35f4dceea4a937e05d3c2aa7f613c8eed396089ccf241dedae36df8b4f",
+    ("A", 8, None): "3556e27e02c670e3170ac22e3708f53b473f01d0d2564e4506a013c41ec4d1d3",
+    ("B", 2, None): "d921d084293d3f9f4e6803f9e7790279b73e03d72b4abe854cdd6e2ff21bc1c7",
+    ("B", 3, None): "8e4a9771a72bdfee7cc8d390ebc75edefd2a6ba0c7a854ad924d4d3a2c380edd",
+    ("B", 4, None): "d42ce15f420446e7a743d7ef8ca73485a0a3d2886e3fb2b48ba6a8a504ddd65c",
+    ("B", 5, None): "414eff084f2c560a79ba65c3841c607acb6a9f2ed97472236b3cd8f02d467564",
+    ("B", 6, None): "467a6d17f9756441302f20c93f1215b1fde791aa83996e91c9bbbc1371dc5176",
+    ("B", 7, None): "109f690dbe7b78e1d32ab48129a11a8e946efb388ce84dec7f734a0c59219122",
+    ("B", 8, None): "cca76fad9cc1336ebe0ff878ab1ef9357a45f958196e7d671592a0739c621dc7",
+    ("D", 4, None): "306d2a747031f73a21a904a3d0d36ebeec974474be882f46028a918fff440c41",
+    ("D", 5, None): "dfb752ce421b43ae0987b3beb6b65b483acad391414781603a983d343c5a54d5",
+    ("D", 6, None): "7a556b8db2744ede187542e8c327cfba7ff2d786a99a198c772188c1eb40891b",
+    ("D", 7, None): "4f5cdad9f5a43013e7524ece9dc7ffd921bff8c5d0e5f069fda41182488ec04d",
+    ("D", 8, None): "76308c63f89bb831506884e4ce2ffaddd575096930b207c7249758524b09867b",
+    ("E", 6, None): "a095d1869f2700da55d3d96ab95911efbb6a0a0caa1c84b5f063fe25df363b10",
+    ("E", 7, None): "0d98566b5cb64d88be53660272f7a417378ca70250528af45e4cfa138c3232a2",
+    ("E", 8, None): "dd4fdf2bbda573f8ec41fed23e2706884977959485269f35923e49bc91d916db",
+    ("F", 4, None): "0d5baf94467055cf9b6b12cdefb209cc0f7990c21b3d1c47c31a7b4913a55506",
+    ("G", 2, None): "4c2ecc888f4bf60ae2d33ea26039705b6e8d1d6792932c033ad088b2e1481516",
+    ("H", 2, None): "ec44a48388ff3596b8228e3e8912b86968ff9ed6b5acdaea4f5653e8fd3ea3a0",
+    ("H", 3, None): "0638d1955ef626d229e58a81e0bae963048ac2b2179c3570060c7378662a88b6",
+    ("H", 4, None): "f731a6ac340a454c3f99c1227f00099dfb4c881708270984f9ce801f91ac5ee2",
+    ("I", 2, 7): "87a384e65c46fff88dd4f4dd63758b746d03bbff6287eddcb492f662b43b9378",
+}
+
+
+def test_phi_arithmetic():
+    phi = (0, 1)
+    assert phi_mul(phi, phi) == (1, 1)  # phi^2 = phi + 1
+    assert phi_mul((2, -1), (1, 1)) == (1, 0)  # (2 - phi)(1 + phi) = 1
+    assert phi_sign((2, -1)) > 0  # 2 - phi
+    assert phi_sign((1, -1)) < 0  # 1 - phi
+    assert phi_sign((-3, 2)) > 0 and phi_sign((3, -2)) < 0  # 2 phi - 3
+    assert phi_sign((0, 0)) == 0
+
+
+@pytest.mark.parametrize("fam,n,p", sorted(GOLDEN_PERMS, key=str))
+def test_root_permutations_golden(fam, n, p):
+    g = build_group(type_diagram(fam, n, p))
+    blob = repr((g.n_pos, tuple(g.simple(x) for x in g.gens), tuple(g.reflections())))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_PERMS[fam, n, p]
+
+
+SYMPY_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,n", SYMPY_TYPES)
+def test_root_count_matches_sympy(fam, n):
+    g = build_group(type_diagram(fam, n))
+    assert len(RootSystem("%s%d" % (fam, n)).all_roots()) == 2 * g.n_pos
 
 
 @pytest.mark.parametrize("fam,n,p", RANK_LE4)
