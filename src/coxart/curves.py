@@ -363,6 +363,8 @@ def build_e7_figure():
 def build_system(family, rank=None):
     if family in ("An", "Dn") and rank is None:
         raise DiagramError("the %s family needs a rank" % family)
+    if family in ("E6F", "E8F", "E7FIG") and rank is not None:
+        raise DiagramError("the %s family takes no rank" % family)
     if family == "An":
         return build_an(rank)
     if family == "Dn":

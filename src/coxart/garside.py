@@ -3,12 +3,17 @@
 An element is held as Delta^inf times a left-greedy sequence of simples,
 each simple a W-permutation.  This solves the word problem: two words are
 equal iff their (inf, canon) pairs coincide.
+
+A word is read in maximal runs of same-sign letters whose product in W stays
+reduced; each run enters as one simple (a negative run as Delta^-1 times a
+simple), so Delta_T^k costs k factors.  One backward sweep of pairwise
+left-weighting restores the normal form after each factor (Epstein et al.,
+Word Processing in Groups, ch. 9).  The budget bounds the letters of a word.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 
 from .diagram import DiagramError, finite_type, irreducible_components, sort_key
 from .raag import raag_inverse
@@ -95,7 +100,6 @@ class ArtinEngine(object):
     def __init__(self, wgroup, budget=None):
         self.w = wgroup
         self.budget = letter_budget(budget)
-        self._tau_cache = {}
         w = wgroup
         self._tau_gen = {}
         for g in w.gens:
@@ -106,29 +110,17 @@ class ArtinEngine(object):
 
     def tau(self, u):
         """Delta^-1 u Delta on simples, i.e. conjugation by the longest element."""
-        out = self._tau_cache.get(u)
-        if out is None:
-            w = self.w
-            out = w.compose(w.w0, w.compose(u, w.w0))
-            self._tau_cache[u] = out
-        return out
+        w = self.w
+        return w.compose(w.w0, w.compose(u, w.w0))
 
     def tau_generator(self, g):
         return self._tau_gen[g]
 
-    # -- incremental state ----------------------------------------------
-
-    def new_state(self):
-        return _NFState(self)
-
-    def state_from_word(self, word):
-        st = self.new_state()
-        st.push_word(word)
-        return st
-
     def normal_form(self, word):
         """Canonical (inf, canon) of an Artin word over the group generators."""
-        return self.state_from_word(word).readout()
+        state = _NFState(self)
+        state.push_word(word)
+        return state.readout()
 
     def equals(self, w1, w2):
         return self.normal_form(w1) == self.normal_form(w2)
@@ -147,7 +139,14 @@ class ArtinEngine(object):
 
 
 class _NFState(object):
-    """Delta^k * tau^parity(seq), seq kept left-greedy after every push."""
+    """Delta^k * tau^parity(seq), seq kept left-greedy after every push.
+
+    A word enters one simple per maximal run of same-sign letters whose
+    product stays reduced.  Each appended simple is left-weighted into seq
+    by one backward sweep that stops at the first pair left unchanged; a
+    factor that becomes Delta leaves seq for the power k at once, so seq
+    never holds the identity or Delta.
+    """
 
     __slots__ = ("engine", "k", "parity", "seq")
 
@@ -157,61 +156,61 @@ class _NFState(object):
         self.parity = 0
         self.seq = []
 
-    def push_word(self, word, budget_used=0):
-        used = budget_used + word_length(word)
-        if used > self.engine.budget:
-            raise BudgetExceeded(
-                "word expansion of %d letters exceeds budget %d"
-                % (used, self.engine.budget)
-            )
-        for g, e in word:
-            if g not in self.engine.w._simple:
-                raise DiagramError("unknown generator %r" % (g,))
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                self._push_letter(g, step)
-        return used
-
-    def _push_letter(self, g, sign):
+    def push_word(self, word):
         eng = self.engine
         w = eng.w
-        if sign > 0:
-            simple = w.simple(g)
-            if self.parity:
-                simple = eng.tau(simple)
-            self._append(simple)
-        else:
-            # x_g^-1 = Delta^-1 * sigma(w0 s_g); pushing Delta^-1 through the
-            # accumulated tail twists it by tau, tracked lazily via parity.
+        letters = word_length(word)
+        if letters > eng.budget:
+            raise BudgetExceeded(
+                "garside normal form: word of %d letters exceeds the letter "
+                "budget %d" % (letters, eng.budget)
+            )
+        n = w.n_pos
+        run, sign = w.identity, 0
+        for g, e in word:
+            if g not in w._simple:
+                raise DiagramError("unknown generator %r" % (g,))
+            step = 1 if e > 0 else -1
+            alpha = w.alpha_index(g)
+            for _ in range(abs(e)):
+                if step != sign or run[alpha] >= n:
+                    self._push_run(run, sign)
+                    run, sign = w.identity, step
+                run = w.mul_gen(run, g)
+        self._push_run(run, sign)
+
+    def _push_run(self, run, sign):
+        """Push sigma(run)^sign for a reduced run = s_g1...s_gm; the identity
+        run of sign 0 pushes nothing."""
+        eng = self.engine
+        w = eng.w
+        if sign < 0:
+            # x_g1^-1...x_gm^-1 = sigma(run^-1)^-1 = Delta^-1 * sigma(w0 run);
+            # pushing Delta^-1 through the accumulated tail twists it by tau,
+            # tracked lazily via parity.
             self.k -= 1
             self.parity ^= 1
-            simple = w.compose(w.w0, w.simple(g))
-            if self.parity:
-                simple = eng.tau(simple)
-            self._append(simple)
+            run = w.compose(w.w0, run)
+        if run != w.identity:
+            self._append(eng.tau(run) if self.parity else run)
 
     def _append(self, simple):
-        w = self.engine.w
-        if simple == w.identity:
-            return
+        eng = self.engine
+        w0 = eng.w.w0
         seq = self.seq
         seq.append(simple)
-        if len(seq) == 1:
-            self._absorb_front()
-            return
-        work = deque([len(seq) - 2])
-        while work:
-            i = work.popleft()
-            if i < 0 or i + 1 >= len(seq):
-                continue
-            changed = self._fix_pair(i)
-            if changed:
-                if i - 1 >= 0:
-                    work.append(i - 1)
-                work.append(i + 1)
-        while seq and seq[-1] == w.identity:
-            seq.pop()
-        self._absorb_front()
+        # seq[:-1] was left-weighted, so fixing pairs right to left restores
+        # every pair, and the first pair left unchanged ends the sweep
+        i = len(seq) - 1
+        while i and seq[i] != w0 and self._fix_pair(i - 1):
+            i -= 1
+        if seq[i] == w0:
+            # A Delta B = Delta tau(A) B = Delta tau(A tau(B)): Delta joins the
+            # power at once instead of moving to the front pair by pair, and
+            # only the part the sweep touched is twisted
+            seq[i:] = [eng.tau(x) for x in seq[i + 1:]]
+            self.k += 1
+            self.parity ^= 1
 
     def _fix_pair(self, i):
         w = self.engine.w
@@ -234,22 +233,11 @@ class _NFState(object):
                 seq[i], seq[i + 1] = u, v
         return changed
 
-    def _absorb_front(self):
-        w = self.engine.w
-        while self.seq and self.seq[0] == w.w0:
-            self.seq.pop(0)
-            self.k += 1
-
     def readout(self):
         eng = self.engine
-        w = eng.w
-        canon = []
-        for u in self.seq:
-            if self.parity:
-                u = eng.tau(u)
-            canon.append(u)
-        assert all(u != w.identity and u != w.w0 for u in canon)
-        return GarsideElement(eng, self.k, tuple(canon))
+        canon = tuple(eng.tau(u) if self.parity else u for u in self.seq)
+        assert all(u != eng.w.identity and u != eng.w.w0 for u in canon)
+        return GarsideElement(eng, self.k, canon)
 
 
 # -- words built from fundamental elements -----------------------------------

@@ -137,6 +137,15 @@ class _Recorder:
         )
 
 
+def _int_option(key, value, least):
+    """A suite option that must be an integer >= least; anything else is a
+    usage error, not a failed check."""
+    if type(value) is not int or value < least:
+        raise ValueError("suite option %r must be an integer >= %d, got %s"
+                         % (key, least, json.dumps(value)))
+    return value
+
+
 def _alternating(a, b, m):
     return [((a, b)[i % 2], 1) for i in range(m)]
 
@@ -440,7 +449,7 @@ def suite_an_curves(config=None):
     from .curves import audit_system, build_an, reference_choice, to_word_system
 
     rec = _Recorder("an-curves")
-    top = (config or {}).get("max_rank", 7)
+    top = _int_option("max_rank", (config or {}).get("max_rank", 7), 2)
     for n in range(2, top + 1):
         def check(n=n):
             system = build_an(n)
@@ -509,7 +518,10 @@ def suite_dn_curves(config=None):
 
     rec = _Recorder("dn-curves")
     ranks = (config or {}).get("ranks", (4, 5, 6, 7))
-    for n in ranks:
+    if not isinstance(ranks, (list, tuple)):
+        raise ValueError("suite option 'ranks' must be a list of integers, "
+                         "got %s" % json.dumps(ranks))
+    for n in [_int_option("ranks", n, 4) for n in ranks]:
         def check_system(n=n):
             system = build_dn(n)
             defects = audit_system(system)
@@ -683,6 +695,7 @@ def suite_folding(config=None):
 
     rec = _Recorder("folding-suite")
     budget = (config or {}).get("budget")
+    max_len = _int_option("f_max_len", (config or {}).get("f_max_len", 4), 1)
     for tag, diagram in _fold_cases():
         def check_components(tag=tag, diagram=diagram):
             fold = build_folded(diagram)
@@ -708,7 +721,6 @@ def suite_folding(config=None):
 
         def check_f(tag=tag, diagram=diagram):
             fold = build_folded(diagram)
-            max_len = (config or {}).get("f_max_len", 4)
             count = f_preserves_reduced(fold, max_len)
             raaginj_mechanics(fold)
             return "%d reduced words mapped" % count
@@ -746,7 +758,12 @@ def suite_gtc_bounded(config=None):
     rec = _Recorder("gtc-bounded")
     config = config or {}
     if "type" in config:
-        cases = [(config["type"], config.get("N", 1), config.get("max_len", 6))]
+        if not isinstance(config["type"], str):
+            raise ValueError("suite option 'type' must be a diagram string, "
+                             "got %s" % json.dumps(config["type"]))
+        parse_diagram(config["type"])  # a malformed diagram is a usage error
+        cases = [(config["type"], _int_option("N", config.get("N", 1), 1),
+                  _int_option("max_len", config.get("max_len", 6), 1))]
     else:
         cases = [
             ("type I 2 4", 1, 6),
@@ -775,14 +792,13 @@ def suite_e7_kernel(config=None):
     from .curves import e7_kernel_check
 
     rec = _Recorder("e7-kernel")
+    power = _int_option("power", (config or {}).get("power", 1), 1)
     state = {}
 
     def leg(name, key):
         def run():
             if not state:
-                state["report"] = e7_kernel_check(
-                    (config or {}).get("power", 1)
-                )
+                state["report"] = e7_kernel_check(power)
             report = state["report"]
             assert getattr(report, key), report.detail
             return json.dumps(report.detail) if key == "artin_nontrivial" else ""

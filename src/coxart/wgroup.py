@@ -220,9 +220,6 @@ class WGroup(object):
             assert len(sent) == 1
             self._alpha[g] = sent[0]
 
-        self._inv_cache = {self.identity: self.identity}
-        self._rd_cache = {}
-        self._word_cache = {}
         self.w0 = self._longest()
 
     # -- basic permutation algebra -------------------------------------
@@ -230,16 +227,6 @@ class WGroup(object):
     def compose(self, u, v):
         """u then-after v, i.e. the element acting by r -> u(v(r))."""
         return tuple(map(u.__getitem__, v))
-
-    def inverse(self, w):
-        inv = self._inv_cache.get(w)
-        if inv is None:
-            out = [0] * self.size
-            for i, img in enumerate(w):
-                out[img] = i
-            inv = tuple(out)
-            self._inv_cache[w] = inv
-        return inv
 
     def mul_gen(self, w, g):
         """w * s_g (right multiplication by a generator)."""
@@ -260,15 +247,14 @@ class WGroup(object):
         return sum(1 for i in range(n) if w[i] >= n)
 
     def right_descents(self, w):
-        rd = self._rd_cache.get(w)
-        if rd is None:
-            n = self.n_pos
-            rd = frozenset(g for g in self.gens if w[self._alpha[g]] >= n)
-            self._rd_cache[w] = rd
-        return rd
+        """Generators g with l(w s_g) < l(w): w sends alpha_g negative."""
+        n = self.n_pos
+        return frozenset(g for g in self.gens if w[self._alpha[g]] >= n)
 
     def left_descents(self, w):
-        return self.right_descents(self.inverse(w))
+        """Generators g with l(s_g w) < l(w): w^-1 sends alpha_g negative."""
+        n = self.n_pos
+        return frozenset(g for g in self.gens if w.index(self._alpha[g]) >= n)
 
     def word_to_element(self, word):
         """Product of simple reflections, letters applied left to right."""
@@ -281,18 +267,13 @@ class WGroup(object):
 
     def reduced_word(self, w):
         """A reduced word for w, greedy on smallest left descent."""
-        cached = self._word_cache.get(w)
-        if cached is not None:
-            return cached
         out = []
         cur = w
         while cur != self.identity:
             g = min(self.left_descents(cur), key=sort_key)
             out.append(g)
             cur = self.gen_mul(g, cur)
-        word = tuple(out)
-        self._word_cache[w] = word
-        return word
+        return tuple(out)
 
     def order(self, w):
         k = 1

@@ -97,7 +97,16 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "nf", "--group", "type Q 9", "--word", "s")
     assert code == 2
     for argv in (("curves", "--family", "Dn"),
-                 ("verify", "an-curves", "--config", "[1]")):
+                 ("curves", "--family", "E6F", "--rank", "3"),
+                 ("curves", "--family", "E8F", "--rank", "4"),
+                 ("curves", "--family", "E7FIG", "--rank", "7"),
+                 ("verify", "an-curves", "--config", "[1]"),
+                 ("verify", "an-curves", "--config", '{"max_rank": "x"}'),
+                 ("verify", "gtc-bounded", "--config",
+                  '{"type": "type A 2", "N": 0}'),
+                 ("verify", "gtc-bounded", "--config", '{"type": "type Q 9"}'),
+                 ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
+                 ("verify", "e7-kernel", "--config", '{"power": 0}')):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -113,7 +122,7 @@ def test_verify_has_no_seed_option(capsys):
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--group", "type A 2",
                        "--word", "s1^50", "--budget", "10")
-    assert code == 2 and "budget" in err
+    assert code == 2 and "budget" in err and "garside" in err
 
 
 def test_group_argument_from_file(tmp_path, capsys):

@@ -152,7 +152,8 @@ def test_delta_conjugation_sends_generators_to_generators():
 
 def test_budget_guard():
     eng = ArtinEngine(build_group(A2), budget=10)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^garside normal form: word of "
+                       r"12 letters exceeds the letter budget 10$"):
         eng.normal_form([("s", 6), ("t", 6)])
     assert eng.normal_form([("s", 5)]).canonical_length == 5
 
@@ -212,6 +213,40 @@ def test_equals_agrees_with_rewriting_oracle(m):
         for w2 in words:
             oracle = rep[w1] == rep[w2]
             assert (engine_nf[w1] == engine_nf[w2]) == oracle, (m, w1, w2)
+
+
+def _e8_conjugation_word(n_power, g, k=1):
+    """Delta_E7^(2N) x_g^k Delta_E7^(-2N) inside E8, E7 = E8 minus s7."""
+    d = type_diagram("E", 8)
+    e7 = [v for v in d.vertices if v != "s7"]
+    return (delta_word(d, e7, 2 * n_power) + [(g, k)]
+            + delta_word(d, e7, -2 * n_power))
+
+
+@pytest.mark.parametrize("n_power", (5, 20))
+def test_e7_delta_power_centralises_only_e7_in_e8(n_power):
+    # z_T^N = Delta_T^2N is central in the parabolic subgroup of T only
+    eng = ArtinEngine(build_group(type_diagram("E", 8)))
+    assert eng.equals(_e8_conjugation_word(n_power, "s6"), [("s6", 1)])
+    assert not eng.equals(_e8_conjugation_word(n_power, "s7"), [("s7", 1)])
+
+
+def test_memory_flat_across_repeated_normal_forms():
+    # the engine keeps nothing per element it has seen: each round is a new
+    # word (a new power of x_s7), so a cache of simples would keep growing
+    import tracemalloc
+
+    eng = ArtinEngine(build_group(type_diagram("E", 8)))
+    words = [_e8_conjugation_word(2, "s7", k) for k in range(1, 21)]
+    sizes = []
+    tracemalloc.start()
+    try:
+        for word in words:
+            eng.normal_form(word)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[19] - sizes[1] <= 64 * 1024, sizes
 
 
 def test_delta_squared_central_e7_restricted():
@@ -370,3 +405,39 @@ def test_normalize_letters_merges_adjacent():
     assert normalize_letters([("s", 1), ("t", 1), ("t", -1), ("s", 1)]) == [
         ("s", 2)
     ]
+
+
+# -- independent oracle for run grouping: a disguised copy of a signed word
+# with long same-sign runs, made by one defining relation and one cancelling
+# pair without coxart.garside, must have the same normal form -------------
+
+def _signed_runs(gens):
+    run = st.lists(st.sampled_from(gens), min_size=1, max_size=8)
+    return st.lists(st.tuples(st.sampled_from((1, -1)), run), max_size=4).map(
+        lambda runs: [(g, sign) for sign, letters in runs for g in letters]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(("A", "B", "H")), st.data())
+def test_disguised_signed_words_agree(family, data):
+    d = type_diagram(family, 3)
+    gens = list(d.vertices)
+    prefix = data.draw(_signed_runs(gens))
+    suffix = data.draw(_signed_runs(gens))
+    a, b = data.draw(st.permutations(gens))[:2]
+    m = d.m(a, b)  # 2 gives a commutation relation
+    lhs = [((a, b)[i % 2], 1) for i in range(m)]
+    rhs = [((b, a)[i % 2], 1) for i in range(m)]
+    if data.draw(st.booleans()):
+        lhs = [(g, -e) for g, e in reversed(lhs)]
+        rhs = [(g, -e) for g, e in reversed(rhs)]
+    word = prefix + lhs + suffix
+    disguised = prefix + rhs + suffix
+    at = data.draw(st.integers(0, len(disguised)))
+    x, e = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from((1, -1, 2)))
+    disguised[at:at] = [(x, e), (x, -e)]
+
+    eng = ArtinEngine(build_group(d))
+    assert eng.normal_form(word) == eng.normal_form(disguised)
+    assert eng.is_trivial(word + [(g, -e) for g, e in reversed(word)])
