@@ -313,6 +313,14 @@ def is_spherical(diagram, subset=None):
     return finite_type(diagram, subset).is_spherical
 
 
+def require_irreducible_spherical(diagram, subset):
+    """Raise DiagramError unless `subset` is irreducible and spherical."""
+    if len(irreducible_components(diagram, subset)) != 1:
+        raise DiagramError("subset %s is not irreducible" % sorted(subset, key=sort_key))
+    if not finite_type(diagram, subset).is_spherical:
+        raise DiagramError("subset %s is not spherical" % sorted(subset, key=sort_key))
+
+
 def type_diagram(family, n, p=None, prefix="s"):
     """The standard diagram of an irreducible finite type.
 

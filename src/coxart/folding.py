@@ -34,12 +34,6 @@ class FoldedDiagram:
     def fiber(self, g):
         return self.fibers[g]
 
-    def project(self, fiber_vertex):
-        for g, fib in self.fibers.items():
-            if fiber_vertex in fib:
-                return g
-        raise DiagramError("not a fiber vertex: %r" % (fiber_vertex,))
-
     def preimage(self, subset):
         out = set()
         for g in subset:
@@ -168,16 +162,12 @@ def component_subsets(fold, subset=None):
     return irreducible_components(fold.target, pre)
 
 
-def f_word(fold, raag_word, source_names=None):
-    """Image of a word of RA(source) in RA(target): z_T becomes the product
-    of the z's of the irreducible components of the preimage of T."""
-    if source_names is None:
-        from .nerve import subdivision
-
-        source_names = subdivision(fold.source).vertex_subsets
-    out = []
-    for name, exp in raag_word:
-        subset = source_names[name]
+def fold_images(fold, vertex_subsets):
+    """F on generators: each source subdivision vertex, given as
+    {name: subset}, maps to the irreducible components of its preimage,
+    as {component name: component subset}."""
+    images = {}
+    for name, subset in vertex_subsets.items():
         comps = component_subsets(fold, subset)
         for c in comps:
             if not finite_type(fold.target, c).is_spherical:
@@ -185,9 +175,15 @@ def f_word(fold, raag_word, source_names=None):
                     "component %s of a spherical preimage is not spherical"
                     % sorted(c)
                 )
-        for c in comps:
-            out.append((subset_name(c), exp))
-    return out
+        images[name] = {subset_name(c): c for c in comps}
+    return images
+
+
+def f_word(images, raag_word):
+    """Image of a word of RA(source) in RA(target): z_T becomes the product
+    of the z's of the components of the preimage of T, read from the
+    `fold_images` map."""
+    return [(c, exp) for name, exp in raag_word for c in images[name]]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .diagram import DiagramError, finite_type, irreducible_components, sort_key
+from .diagram import DiagramError, require_irreducible_spherical, sort_key
 from .raag import raag_inverse
 from .wgroup import WGroup
 
@@ -257,9 +257,5 @@ def delta_word(diagram, subset, power=1):
 
 def delta_power(diagram, subset, power):
     """sigma(w_T)^power for an irreducible spherical subset T."""
-    comps = irreducible_components(diagram, subset)
-    if len(comps) != 1:
-        raise DiagramError("subset %s is not irreducible" % sorted(subset, key=sort_key))
-    if not finite_type(diagram, subset).is_spherical:
-        raise DiagramError("subset %s is not spherical" % sorted(subset, key=sort_key))
+    require_irreducible_spherical(diagram, subset)
     return delta_word(diagram, subset, power)

@@ -9,6 +9,7 @@ from .diagram import (
     DiagramError,
     finite_type,
     irreducible_components,
+    require_irreducible_spherical,
     sort_key,
 )
 from .garside import delta_power
@@ -154,10 +155,7 @@ def complex_on_subsets(diagram, subsets):
     named = {}
     for s in subsets:
         s = frozenset(s)
-        if len(irreducible_components(diagram, s)) != 1:
-            raise DiagramError("subset %s is not irreducible" % sorted(s, key=sort_key))
-        if not finite_type(diagram, s).is_spherical:
-            raise DiagramError("subset %s is not spherical" % sorted(s, key=sort_key))
+        require_irreducible_spherical(diagram, s)
         named[subset_name(s)] = s
     return _subset_complex(diagram, named), named
 

@@ -355,14 +355,13 @@ def _pp_consistent(system, sims, chosen, i):
     return True
 
 
-def pp_search_all(system, order=None):
-    """Yield every valid Property PP choice map (exhaustive backtracking)."""
+def pp_search_all(system):
+    """Yield every valid Property PP choice map (exhaustive backtracking),
+    trying the simplices that commute with the most others first."""
     sims = system.simplices()
-    if order is None:
-        deg = {}
-        for i, a in enumerate(sims):
-            deg[a] = sum(1 for b in sims if b != a and system.commute(a, b))
-        sims = sorted(sims, key=lambda s: (-deg[s], sorted(map(sort_key, s))))
+    deg = {a: sum(1 for b in sims if b != a and system.commute(a, b))
+           for a in sims}
+    sims = sorted(sims, key=lambda s: (-deg[s], sorted(map(sort_key, s))))
     chosen = {}
 
     def rec(i):

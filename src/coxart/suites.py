@@ -7,7 +7,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .diagram import parse_diagram, sort_key, type_diagram
+from .diagram import finite_type, parse_diagram, sort_key, type_diagram
 from .garside import (
     ArtinEngine,
     BudgetExceeded,
@@ -597,11 +597,13 @@ def _restrict_to(vertices, word):
 
 def psi_preserves_relations(fold, budget=None):
     """Check every defining braid relation lands on a Garside equality in
-    each component of the fold target.  Returns (checked, skipped)."""
+    each component of the fold target.  Returns (checked, skipped, the
+    first over-budget message or None)."""
     from .diagram import irreducible_components
     from .folding import psi_word
 
     checked = skipped = 0
+    first_skip = None
     comps = irreducible_components(fold.target)
     engines = {}
     for a, b, m in fold.source.edges():
@@ -623,35 +625,31 @@ def psi_preserves_relations(fold, budget=None):
                     % (a, b, sorted(comp))
                 )
                 checked += 1
-            except BudgetExceeded:
+            except BudgetExceeded as exc:
                 skipped += 1
-    return checked, skipped
+                first_skip = first_skip or str(exc)
+    return checked, skipped, first_skip
 
 
-def f_preserves_reduced(fold, max_len=4):
-    """F maps reduced words to reduced words and is injective on the sample."""
-    from .folding import component_subsets, f_word
+def f_preserves_reduced(fold, src, images, max_len=4):
+    """F maps reduced words to reduced words and is injective on the sample.
+
+    `src` is the source subdivision and `images` its `fold_images` map."""
+    from .folding import f_word
     from .nerve import complex_on_subsets
 
-    src = subdivision(fold.source)
-    image_subsets = set()
-    for subset in src.vertex_subsets.values():
-        image_subsets.update(component_subsets(fold, subset))
+    image_subsets = {c for image in images.values() for c in image.values()}
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
     tgt_complex, _ = complex_on_subsets(fold.target, image_subsets)
-    comp_count = {
-        name: len(component_subsets(fold, subset))
-        for name, subset in src.vertex_subsets.items()
-    }
     seen_src = set()
     seen_img = set()
     count = 0
     for word in enumerate_reduced_words(src.complex, max_len):
         count += 1
-        image = f_word(fold, word, src.vertex_subsets)
+        image = f_word(images, word)
         nf = raag_normal_form(tgt_complex, image)
-        expected_len = sum(abs(e) * comp_count[v] for v, e in word)
+        expected_len = sum(abs(e) * len(images[v]) for v, e in word)
         assert sum(abs(e) for _, e in nf) == expected_len, (
             "F does not preserve reduced length on %s" % (word,)
         )
@@ -661,27 +659,21 @@ def f_preserves_reduced(fold, max_len=4):
     return count
 
 
-def raaginj_mechanics(fold):
-    """The two combinatorial facts behind injectivity of F."""
-    from .folding import component_subsets
-
-    src = subdivision(fold.source)
+def raaginj_mechanics(fold, src, images):
+    """The two combinatorial facts behind injectivity of F, on the source
+    subdivision `src` and its `fold_images` map."""
     names = sorted(src.vertex_subsets, key=sort_key)
-    comps = {
-        name: component_subsets(fold, src.vertex_subsets[name])
-        for name in names
-    }
     for i, a in enumerate(names):
         for b in names[:i]:
-            assert not (set(comps[a]) & set(comps[b])), (
+            assert not set(images[a].values()) & set(images[b].values()), (
                 "distinct subsets share a fold component: %s %s" % (a, b)
             )
             if src.complex.adjacent(a, b):
                 continue
-            for ca in comps[a]:
+            for ca in images[a].values():
                 partners = [
                     cb
-                    for cb in comps[b]
+                    for cb in images[b].values()
                     if not nested_or_commuting(fold.target, ca, cb)
                 ]
                 assert partners, (
@@ -691,7 +683,7 @@ def raaginj_mechanics(fold):
 
 
 def suite_folding(config=None):
-    from .folding import build_folded, component_report
+    from .folding import build_folded, component_report, fold_images
 
     rec = _Recorder("folding-suite")
     budget = (config or {}).get("budget")
@@ -711,18 +703,21 @@ def suite_folding(config=None):
 
         def check_psi(tag=tag, diagram=diagram):
             fold = build_folded(diagram)
-            checked, skipped = psi_preserves_relations(fold, budget)
+            checked, skipped, first_skip = psi_preserves_relations(fold, budget)
             if skipped:
                 raise BudgetExceeded(
-                    "%d relation checks skipped over budget" % skipped
+                    "%d relation checks skipped over budget: %s"
+                    % (skipped, first_skip)
                 )
             return "%d per-component relation checks" % checked
         rec.run("psi-relations-%s" % tag, check_psi)
 
         def check_f(tag=tag, diagram=diagram):
             fold = build_folded(diagram)
-            count = f_preserves_reduced(fold, max_len)
-            raaginj_mechanics(fold)
+            src = subdivision(fold.source)
+            images = fold_images(fold, src.vertex_subsets)
+            count = f_preserves_reduced(fold, src, images, max_len)
+            raaginj_mechanics(fold, src, images)
             return "%d reduced words mapped" % count
         rec.run("f-injective-%s" % tag, check_f)
     return rec.result
@@ -761,7 +756,10 @@ def suite_gtc_bounded(config=None):
         if not isinstance(config["type"], str):
             raise ValueError("suite option 'type' must be a diagram string, "
                              "got %s" % json.dumps(config["type"]))
-        parse_diagram(config["type"])  # a malformed diagram is a usage error
+        # a malformed or non-spherical diagram is a usage error
+        if not finite_type(parse_diagram(config["type"])).is_spherical:
+            raise ValueError("gtc-bounded needs a spherical diagram, got %s"
+                             % json.dumps(config["type"]))
         cases = [(config["type"], _int_option("N", config.get("N", 1), 1),
                   _int_option("max_len", config.get("max_len", 6), 1))]
     else:

@@ -114,6 +114,13 @@ def test_criterion_12_folding():
     result = run_suite("folding-suite")
     _report(12, "folding: components, Psi relations, F injectivity", 300, t0,
             _suite_failures(result))
+    # the injectivity sample of each fold is pinned, so no change can shrink it
+    details = {c.id: c.detail for c in result.checks}
+    for tags, words in ((("I2(3)", "I2(4)", "I2(5)", "I2(6)"), 312),
+                        (("B3", "H3"), 4608), (("F4", "H4"), 34976)):
+        for tag in tags:
+            assert details["f-injective-" + tag] == (
+                "%d reduced words mapped" % words)
 
 
 def test_criterion_13_gtc_bounded():

@@ -105,6 +105,9 @@ def test_usage_errors_exit_two(capsys):
                  ("verify", "gtc-bounded", "--config",
                   '{"type": "type A 2", "N": 0}'),
                  ("verify", "gtc-bounded", "--config", '{"type": "type Q 9"}'),
+                 ("verify", "gtc-bounded", "--config",
+                  '{"type": "vertex a; vertex b; vertex c; edge a b 3; '
+                  'edge b c 3; edge a c 3", "max_len": 2}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
                  ("verify", "e7-kernel", "--config", '{"power": 0}')):
         code, out, err = run(capsys, *argv)

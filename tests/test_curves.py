@@ -339,3 +339,6 @@ def test_folding_suite_budget_marks_skipped():
     assert result.ok  # skipped checks do not fail the suite
     skipped = [c for c in result.checks if c.status == "skipped"]
     assert skipped and all(c.id.startswith("psi-") for c in skipped)
+    # the detail names the layer and the letters, not only the count
+    assert all("garside" in c.detail and "letter budget 5" in c.detail
+               for c in skipped)

@@ -158,3 +158,23 @@ def test_cone_name_collision():
     d = type_diagram("A", 2)
     with pytest.raises(DiagramError):
         cone_diagram(d, (), "s1")
+
+
+def test_irreducible_spherical_messages_of_both_callers():
+    # delta_power and complex_on_subsets share one check: irreducibility
+    # first, then sphericity, with the same messages
+    from coxart.garside import delta_power
+    from coxart.nerve import complex_on_subsets
+
+    a3 = type_diagram("A", 3)
+    triangle = parse_diagram(
+        "vertex a; vertex b; vertex c; edge a b 3; edge b c 3; edge a c 3")
+    cases = ((a3, {"s1", "s3"}, "subset ['s1', 's3'] is not irreducible"),
+             (triangle, {"a", "b", "c"},
+              "subset ['a', 'b', 'c'] is not spherical"))
+    for diagram, subset, message in cases:
+        for call in (lambda: delta_power(diagram, subset, 2),
+                     lambda: complex_on_subsets(diagram, [subset])):
+            with pytest.raises(DiagramError) as exc:
+                call()
+            assert str(exc.value) == message

@@ -6,6 +6,7 @@ from coxart.folding import (
     component_report,
     component_subsets,
     f_word,
+    fold_images,
     psi_word,
 )
 from coxart.garside import ArtinEngine
@@ -70,13 +71,13 @@ def test_psi_respects_braid_relation_i24():
 def test_f_word_splits_edge_generator():
     fold = build_folded(type_diagram("I", 2, 3))
     s, t = fold.source.vertices
-    sub = subdivision(fold.source)
-    image = f_word(fold, [(subset_name((s, t)), 1)], sub.vertex_subsets)
+    images = fold_images(fold, subdivision(fold.source).vertex_subsets)
+    image = f_word(images, [(subset_name((s, t)), 1)])
     assert len(image) == 2  # the two A_2 components
     comps = component_subsets(fold, (s, t))
     assert sorted(n for n, _ in image) == sorted(subset_name(c) for c in comps)
     # singleton: one letter per fiber element
-    image_s = f_word(fold, [(subset_name((s,)), 1)], sub.vertex_subsets)
+    image_s = f_word(images, [(subset_name((s,)), 1)])
     assert len(image_s) == fold.fiber_size
 
 
@@ -86,6 +87,7 @@ def test_compatibility_square():
         source = parse_diagram(spec)
         fold = build_folded(source)
         sub = subdivision(source)
+        images = fold_images(fold, sub.vertex_subsets)
         names = sorted(sub.vertex_subsets)
         samples = [
             [(names[0], 1)],
@@ -97,7 +99,7 @@ def test_compatibility_square():
         engines = {c: ArtinEngine(build_group(fold.target, c)) for c in comps}
         for word in samples:
             via_f = []
-            for name, exp in f_word(fold, word, sub.vertex_subsets):
+            for name, exp in f_word(images, word):
                 subset = frozenset(name.split("+"))
                 via_f.extend(
                     phi_word(fold.target, 1,
@@ -109,6 +111,29 @@ def test_compatibility_square():
                 wl = [(g, e) for g, e in via_f if g in comp]
                 wr = [(g, e) for g, e in via_psi if g in comp]
                 assert eng.equals(wl, wr), (spec, word, sorted(comp))
+
+
+def test_fold_images_are_preimage_components():
+    # oracle: networkx components of each preimage, read off the target's
+    # labels without irreducible_components
+    nx = pytest.importorskip("networkx")
+    from coxart.suites import _fold_cases
+
+    for tag, source in _fold_cases():
+        fold = build_folded(source)
+        sub = subdivision(source)
+        images = fold_images(fold, sub.vertex_subsets)
+        assert images.keys() == sub.vertex_subsets.keys()
+        graph = nx.Graph()
+        graph.add_nodes_from(fold.target.vertices)
+        graph.add_edges_from(tuple(p) for p, m in fold.target.labels.items()
+                             if m != 2)
+        for name, subset in sub.vertex_subsets.items():
+            pre = [x for g in subset for x in fold.fibers[g]]
+            expected = [frozenset(c) for c in
+                        nx.connected_components(graph.subgraph(pre))]
+            assert images[name] == {subset_name(c): c for c in expected}, (
+                tag, name)
 
 
 class _MiniSub:
@@ -126,7 +151,7 @@ def test_f_word_letters_commute():
     fold = build_folded(type_diagram("H", 3))
     sub = subdivision(fold.source)
     full = sorted(sub.vertex_subsets)[-1]
-    image = f_word(fold, [(full, 1)], sub.vertex_subsets)
+    image = f_word(fold_images(fold, sub.vertex_subsets), [(full, 1)])
     subsets = [frozenset(n.split("+")) for n, _ in image]
     cx, _ = complex_on_subsets(fold.target, subsets)
     word = [(n, 1) for n, _ in image]
