@@ -50,13 +50,11 @@ class CurveSystem:
 
     def curve_complex(self):
         """Flag complex on the curves; adjacency = disjointness."""
-        pairs = []
-        cs = list(self.curves)
-        for i, a in enumerate(cs):
-            for b in cs[i + 1:]:
-                if not self.intersects(a, b):
-                    pairs.append((a, b))
-        return FlagComplex.build(cs, pairs)
+        cs = self.curves
+        return FlagComplex.build(cs, (
+            (a, b) for i, a in enumerate(cs) for b in cs[i + 1:]
+            if not self.intersects(a, b)
+        ))
 
     def multicurve(self, subset):
         return self.boundary[frozenset(subset)]

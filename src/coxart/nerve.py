@@ -13,7 +13,7 @@ from .diagram import (
     sort_key,
 )
 from .garside import delta_power
-from .raag import FlagComplex, RaagError
+from .raag import FlagComplex, RaagError, bit_positions
 
 DEFAULT_MAX_RANK = 12
 
@@ -101,14 +101,12 @@ class SubdividedNerve:
 
     def triangles(self):
         out = []
-        vs = self.complex.vertices
-        for i, a in enumerate(vs):
-            for j in range(i + 1, len(vs)):
-                if not self.complex.adjacent(a, vs[j]):
-                    continue
-                for k in range(j + 1, len(vs)):
-                    if self.complex.adjacent(a, vs[k]) and self.complex.adjacent(vs[j], vs[k]):
-                        out.append((a, vs[j], vs[k]))
+        vs, nbrs = self.complex.vertices, self.complex.neighbours
+        for i, m in enumerate(nbrs):
+            later = m & -(2 << i)  # the neighbours after vertex i
+            for j in bit_positions(later):
+                for k in bit_positions(later & nbrs[j] & -(2 << j)):
+                    out.append((vs[i], vs[j], vs[k]))
         return out
 
     def to_json(self):

@@ -8,7 +8,7 @@ group elements is equality of canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import sort_key
 
@@ -17,63 +17,116 @@ class RaagError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def bit_positions(mask):
+    """Positions of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, init=False)
 class FlagComplex:
-    """A flag simplicial complex, stored as its graph (simplices = cliques)."""
+    """A flag simplicial complex, stored as its graph (simplices = cliques).
+
+    `neighbours[i]` is the bitmask of the vertices adjacent to `vertices[i]`,
+    bit j standing for `vertices[j]`; `edges` is derived from it on demand.
+    """
 
     vertices: tuple
-    edges: frozenset  # frozenset of 2-element frozensets
+    neighbours: tuple
+    _index: dict = field(repr=False, compare=False)  # vertex -> position
 
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 2 or not e <= set(self.vertices):
-                raise RaagError("bad edge %r" % (e,))
+    def __init__(self, vertices, edges):
+        """`edges` is an iterable of 2-element collections of vertices."""
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
+            raise RaagError("duplicate vertex in %r" % (vertices,))
+        nbrs = [0] * len(vertices)
+        for e in edges:
+            try:
+                i, j = (index[v] for v in e)
+            except (KeyError, TypeError, ValueError):
+                i = j = None
+            if i == j:  # a malformed edge or a loop
+                raise RaagError("bad edge %r" % (sorted(e, key=repr),))
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "neighbours", tuple(nbrs))
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def build(vertices, edge_pairs):
-        verts = tuple(sorted(set(vertices), key=sort_key))
-        edges = frozenset(frozenset(p) for p in edge_pairs)
-        return FlagComplex(verts, edges)
+        return FlagComplex(sorted(set(vertices), key=sort_key), edge_pairs)
+
+    @property
+    def edges(self):
+        """The edge set, as a frozenset of 2-element frozensets."""
+        return frozenset(frozenset(p) for p in self.edge_pairs())
+
+    def edge_pairs(self):
+        """Every edge once, as (a, b) with a before b, in vertex order."""
+        vs = self.vertices
+        for i, m in enumerate(self.neighbours):
+            for j in bit_positions(m & -(2 << i)):  # the neighbours after i
+                yield vs[i], vs[j]
 
     def adjacent(self, a, b):
-        return a != b and frozenset((a, b)) in self.edges
+        index = self._index
+        try:
+            return self.neighbours[index[a]] >> index[b] & 1 == 1
+        except KeyError:  # an unknown vertex
+            return False
 
     def is_clique(self, vs):
-        vs = list(vs)
-        return all(
-            self.adjacent(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
-        )
+        ids = [self._index.get(v) for v in vs]
+        if len(ids) < 2:
+            return True
+        if None in ids:
+            return False
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        if mask.bit_count() != len(ids):  # a repeated vertex
+            return False
+        return all((self.neighbours[i] | 1 << i) & mask == mask for i in ids)
 
     def full_subcomplex(self, keep):
         keep = set(keep)
-        unknown = keep - set(self.vertices)
+        unknown = keep - self._index.keys()
         if unknown:
             raise RaagError("unknown vertices %s" % sorted(unknown))
+        vs = self.vertices
+        kept = [i for i, v in enumerate(vs) if v in keep]
+        mask = sum(1 << i for i in kept)
         return FlagComplex(
-            tuple(v for v in self.vertices if v in keep),
-            frozenset(e for e in self.edges if e <= keep),
+            [vs[i] for i in kept],
+            ((vs[i], vs[j]) for i in kept
+             for j in bit_positions(self.neighbours[i] & mask & -(2 << i))),
         )
 
     def cliques(self, max_size=None):
         """All nonempty cliques, smallest-vertex-first enumeration order."""
-        order = list(self.vertices)
+        vs, nbrs = self.vertices, self.neighbours
         out = []
 
         def grow(base, candidates):
-            for i, v in enumerate(candidates):
-                cur = base + [v]
+            for i in bit_positions(candidates):
+                cur = base + [vs[i]]
                 out.append(frozenset(cur))
                 if max_size is None or len(cur) < max_size:
-                    grow(cur, [w for w in candidates[i + 1:] if self.adjacent(v, w)])
+                    grow(cur, candidates & nbrs[i] & -(2 << i))
 
-        grow([], order)
+        grow([], (1 << len(vs)) - 1)
         return out
 
     def to_json(self):
         return {
             "vertices": list(self.vertices),
             "edges": sorted(
-                [sorted(e, key=sort_key) for e in self.edges],
+                [sorted(p, key=sort_key) for p in self.edge_pairs()],
                 key=lambda p: (sort_key(p[0]), sort_key(p[1])),
             ),
         }
@@ -122,8 +175,9 @@ def raag_commutator(w1, w2):
 
 
 def _check_letters(complex_, word):
+    index = complex_._index
     for v, _ in word:
-        if v not in complex_.vertices:
+        if v not in index:
             raise RaagError("unknown vertex %r" % (v,))
 
 
@@ -163,10 +217,11 @@ def raag_normal_form(complex_, word):
 
     # greedy least-vertex linearization of the syllable dependency order
     n = len(sylls)
+    idx = list(range(n))  # shared ints, so the lists below hold pointers only
     preds = [0] * n
     succs = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in idx[i + 1:]:
             if sylls[i][0] == sylls[j][0] or not complex_.adjacent(sylls[i][0], sylls[j][0]):
                 preds[j] += 1
                 succs[i].append(j)
@@ -218,17 +273,18 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     or a larger vertex (canonical).  Prefixes of canonical words are
     canonical, so the search tree has no dead duplicates.
     """
-    verts = list(complex_.vertices)
-
-    def may_append(word, v):
-        for u, _ in reversed(word):
-            if u == v:
-                return False
-            if not complex_.adjacent(u, v):
-                return True
-            if sort_key(u) > sort_key(v):
-                return False
-        return True
+    verts, nbrs = complex_.vertices, complex_.neighbours
+    # The vertices that may follow a word, as a mask: after a syllable on
+    # vertex i, those not adjacent to it (free[i]), and those adjacent to it,
+    # with a larger key, that the word before it allowed (keep[i]).
+    larger = [0] * len(verts)
+    acc = 0
+    for i in sorted(range(len(verts)), key=lambda i: sort_key(verts[i]), reverse=True):
+        larger[i] = acc
+        acc |= 1 << i
+    every = (1 << len(verts)) - 1
+    free = [every & ~(m | 1 << i) for i, m in enumerate(nbrs)]
+    keep = [m & larger[i] for i, m in enumerate(nbrs)]
 
     def emit(word):
         if skip_cyclically_reducible and len(word) >= 2:
@@ -238,20 +294,20 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
                 return False
         return True
 
-    def rec(word, used):
-        for v in verts:
-            if not may_append(word, v):
-                continue
+    def rec(word, used, allowed):
+        for i in bit_positions(allowed):
+            v = verts[i]
+            after = free[i] | allowed & keep[i]
             for mag in range(1, max_len - used + 1):
                 for e in (mag, -mag):
                     word.append((v, e))
                     if emit(word):
                         yield list(word)
                     if used + mag < max_len:
-                        yield from rec(word, used + mag)
+                        yield from rec(word, used + mag, after)
                     word.pop()
 
-    yield from rec([], 0)
+    yield from rec([], 0, every)
 
 
 # -- word systems and Property PP --------------------------------------------
@@ -274,7 +330,7 @@ class WordSystem:
             word = normalize_syllables(word)
             if not word:
                 continue
-            if not simplex <= set(self.complex.vertices):
+            if not all(v in self.complex._index for v in simplex):
                 raise RaagError("simplex %s not in complex" % sorted(simplex))
             if not self.complex.is_clique(simplex):
                 raise RaagError("%s is not a simplex" % sorted(simplex))
@@ -463,9 +519,9 @@ def generalized_pp_check(system, l1_vertices, l2_vertices):
     all_vs = set(system.complex.vertices)
     if l1 | l2 != all_vs:
         raise RaagError("L1 and L2 must cover the vertex set")
-    for e in system.complex.edges:
-        if not (e <= l1 or e <= l2):
-            raise RaagError("edge %s lies in neither part" % sorted(e))
+    for a, b in system.complex.edge_pairs():
+        if not (a in l1 and b in l1 or a in l2 and b in l2):
+            raise RaagError("edge %s lies in neither part" % [a, b])
     l0 = l1 & l2
 
     sides = []
@@ -519,8 +575,7 @@ def verify_injectivity_bounded(
     if missing:
         raise RaagError("no image for vertices %s" % missing)
     if commute_check is not None:
-        for e in complex_.edges:
-            a, b = sorted(e, key=sort_key)
+        for a, b in complex_.edge_pairs():
             if not commute_check(images[a], images[b]):
                 return InjectivityReport(
                     False, 0, 0, [(a, 1), (b, 1)],

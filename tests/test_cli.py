@@ -187,3 +187,30 @@ def test_cross_process_determinism(tmp_path):
         assert proc.returncode == 0
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_error_messages_do_not_depend_on_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({
+        "vertices": list("abcdef"),
+        "edges": [["a", "b"], ["c", "d"], ["e", "f"], ["a", "c"]],
+    }))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": ["a", "b"],
+                               "edges": [["a"], ["zz", "a"]]}))
+    cases = (
+        (["--words", str(split), "--split", "a,c,e", "b,d,f"],
+         "error: edge ['a', 'b'] lies in neither part\n"),
+        (["--words", str(bad)], "error: bad edge ['a']\n"),
+    )
+    for argv, want in cases:
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "coxart.cli", "pp-check"] + argv,
+                capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)

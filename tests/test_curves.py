@@ -342,3 +342,18 @@ def test_folding_suite_budget_marks_skipped():
     # the detail names the layer and the letters, not only the count
     assert all("garside" in c.detail and "letter budget 5" in c.detail
                for c in skipped)
+
+
+def test_a22_curve_complex_holds_under_a_megabyte():
+    import tracemalloc
+
+    system = build_an(22)
+    tracemalloc.start()
+    try:
+        cx = system.curve_complex()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, "the complex holds %d bytes" % held
+    assert len(cx.vertices) == 363
+    assert sum(m.bit_count() for m in cx.neighbours) == 2 * 44342

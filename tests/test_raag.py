@@ -303,3 +303,166 @@ def test_raag_length_is_geodesic_length():
 
     assert raag_length(PATH, [("a", 2), ("b", 1), ("b", -1), ("a", -2)]) == 0
     assert raag_length(F2F2, [("a", 1), ("b", 1), ("a", -1)]) == 1
+
+
+def test_injectivity_report_names_least_failing_pair():
+    # the images of b,c and c,d fail to commute; a,b comes first but passes
+    images = {v: [(v, 1)] for v in "abcd"}
+    report = verify_injectivity_bounded(
+        PATH, images, lambda w: False, 1,
+        commute_check=lambda u, v: {u[0][0], v[0][0]} == {"a", "b"},
+    )
+    assert not report.ok
+    assert report.violation == [("b", 1), ("c", 1)]
+    assert report.detail == "images of commuting pair b,c do not commute"
+
+
+def test_bad_edges_are_rejected():
+    with pytest.raises(RaagError, match=r"bad edge \['a'\]"):
+        FlagComplex.build("ab", [("a",), ("a", "zz")])
+    with pytest.raises(RaagError, match=r"bad edge \['a', 'zz'\]"):
+        FlagComplex.build("ab", [("a", "b"), ("zz", "a")])
+    with pytest.raises(RaagError, match=r"bad edge \['a', 'a'\]"):
+        FlagComplex.build("ab", [("a", "a")])
+
+
+def test_flag_complex_is_an_immutable_value():
+    cx = FlagComplex.build("abcd", [("c", "b"), ("a", "b"), ("c", "d")])
+    assert cx == PATH and hash(cx) == hash(PATH)
+    assert cx != F2F2
+    assert FlagComplex(PATH.vertices, PATH.edges) == PATH
+    assert PATH.edges == {frozenset("ab"), frozenset("bc"), frozenset("cd")}
+    with pytest.raises(AttributeError):
+        cx.vertices = ("a",)
+
+
+# -- the adjacency index against networkx ------------------------------------
+
+def _commute_or_nest(labels, s, t):
+    """The test's own rule: nested, or disjoint with every cross label 2."""
+    return s <= t or t <= s or not s & t and all(
+        labels.get(frozenset((x, y)), 2) == 2 for x in s for y in t
+    )
+
+
+def _oracle_graph(name):
+    """(complex, vertices, edge pairs), the pairs computed without FlagComplex."""
+    from coxart.curves import build_an, build_dn
+    from coxart.diagram import type_diagram
+    from coxart.nerve import subdivision
+
+    if name.endswith("-curves"):
+        system = (build_an if name[0] == "A" else build_dn)(int(name[1:-7]))
+        vs = list(system.curves)
+        pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
+                 if frozenset((a, b)) not in system.intersections]
+        return system.curve_complex(), vs, pairs
+    diagram = type_diagram(name[0], int(name[1:]))
+    sub = subdivision(diagram)
+    named = sub.vertex_subsets
+    vs = sorted(named)
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
+             if _commute_or_nest(diagram.labels, named[a], named[b])]
+    return sub.complex, vs, pairs
+
+
+@pytest.mark.parametrize(
+    "name", ("A4", "B3", "D5", "E6", "H4", "A10-curves", "D8-curves"))
+def test_flag_complex_matches_networkx(name):
+    from itertools import combinations, takewhile
+
+    nx = pytest.importorskip("networkx")
+    cx, vs, pairs = _oracle_graph(name)
+    graph = nx.Graph()
+    graph.add_nodes_from(vs)
+    graph.add_edges_from(pairs)
+    assert sorted(cx.vertices) == sorted(vs)
+
+    probe = list(cx.vertices) + ["no-such-vertex"]
+    for a in probe:
+        for b in probe:
+            assert cx.adjacent(a, b) == graph.has_edge(a, b), (a, b)
+    assert cx.edges == {frozenset(e) for e in graph.edges}
+
+    # every clique of a curve complex is too many; stop at triangles there
+    max_size = 3 if name.endswith("-curves") else None
+    mine = cx.cliques(max_size)
+    assert len(mine) == len(set(mine))
+    theirs = takewhile(lambda c: max_size is None or len(c) <= max_size,
+                       nx.enumerate_all_cliques(graph))
+    assert set(mine) == {frozenset(c) for c in theirs}
+    assert all(cx.is_clique(c) for c in mine)
+
+    rng = random.Random(name)
+    non_cliques = 0
+    for _ in range(300):
+        sample = rng.sample(vs, rng.randint(2, 5))
+        want = all(graph.has_edge(a, b) for a, b in combinations(sample, 2))
+        assert cx.is_clique(sample) == want, sample
+        non_cliques += not want
+    assert non_cliques > 100
+
+    for _ in range(20):
+        keep = rng.sample(vs, rng.randint(0, len(vs)))
+        sub = cx.full_subcomplex(keep)
+        assert sub.vertices == tuple(v for v in cx.vertices if v in keep)
+        assert sub.edges == {frozenset(e) for e in graph.subgraph(keep).edges}
+
+
+# -- a pin on the normal form ------------------------------------------------
+#
+# The digest was taken before the adjacency index existed; a later rewrite
+# of the normal form must keep it.
+
+NORMAL_FORMS_SHA256 = (
+    "3b07271ac1e594ab4651222f93bb3a5e6982806b153db49b36ae62ae922bea92"
+)
+
+
+def _random_word(rng, vertices, syllables):
+    word = []
+    while len(word) < syllables:
+        v = rng.choice(vertices)
+        if not word or word[-1][0] != v:
+            word.append((v, rng.choice((1, -1, 2, -2))))
+    return word
+
+
+def _disguised(rng, cx, word):
+    """The same element: commuting neighbours swapped, and cancelling pairs
+    x^e ... x^-e put around runs of letters that commute with x."""
+    word = list(word)
+    for _ in range(len(word)):
+        i = rng.randrange(len(word) - 1)
+        if cx.adjacent(word[i][0], word[i + 1][0]):
+            word[i], word[i + 1] = word[i + 1], word[i]
+    for _ in range(len(word) // 8):
+        x, e = rng.choice(cx.vertices), rng.choice((1, -1, 2, -2))
+        i = j = rng.randrange(len(word) + 1)
+        while j < len(word) and cx.adjacent(word[j][0], x):
+            j += 1
+        word[j:j] = [(x, -e)]
+        word[i:i] = [(x, e)]
+    return word
+
+
+def _normal_forms_digest():
+    import hashlib
+    import json
+
+    from coxart.diagram import type_diagram
+    from coxart.nerve import subdivision
+
+    digest = hashlib.sha256()
+    for family, rank in (("A", 7), ("D", 6), ("E", 7)):
+        cx = subdivision(type_diagram(family, rank)).complex
+        rng = random.Random("nf-pin:%s%d" % (family, rank))
+        for _ in range(5):
+            word = _random_word(rng, cx.vertices, 400)
+            for w in (word, _disguised(rng, cx, word)):
+                digest.update(json.dumps(raag_normal_form(cx, w)).encode())
+    return digest.hexdigest()
+
+
+def test_normal_forms_match_pinned_digest():
+    assert _normal_forms_digest() == NORMAL_FORMS_SHA256
