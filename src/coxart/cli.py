@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+from .curves import FAMILIES, build_system
 from .diagram import DiagramError, parse_diagram
 from .garside import ArtinEngine, BudgetExceeded, parse_word
 from .homology import h1_image, reflection_label
@@ -77,8 +78,6 @@ def cmd_fold(args):
 
 
 def cmd_curves(args):
-    from .curves import build_system
-
     system = build_system(args.family, args.rank)
     if args.out == "dot":
         print(system.curve_complex().to_dot("curves"))
@@ -91,11 +90,11 @@ def cmd_pp_check(args):
     with open(args.words) as fh:
         doc = json.load(fh)
     cx = complex_from_json(doc)
-    words = {
-        frozenset(key.split("+")): parse_word(val)
-        for key, val in doc.get("words", {}).items()
-    }
-    system = WordSystem(cx, words)
+    words = doc.get("words", {})
+    if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
+        raise RaagError("'words' must map simplex names to word strings")
+    system = WordSystem(cx, {frozenset(key.split("+")): parse_word(val)
+                             for key, val in words.items()})
     if args.split:
         l1, l2 = (part.split(",") for part in args.split)
         verdict = generalized_pp_check(system, l1, l2)
@@ -203,8 +202,7 @@ def build_parser():
     p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("curves", help="emit a curve system")
-    p.add_argument("--family", required=True,
-                   choices=("An", "Dn", "E6F", "E8F", "E7FIG"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--out", choices=("json", "dot"), default="json")
     common(p)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .diagram import CoxeterDiagram, DiagramError, sort_key
-from .garside import delta_power
-from .nerve import nested_or_commuting, subdivision, subset_name
+from .nerve import nested_or_commuting, phi_word, subdivision, subset_name
 from .raag import (
     ChoiceMap,
     FlagComplex,
@@ -24,9 +23,11 @@ from .raag import (
     generalized_pp_check,
     pp_search,
     raag_commutator,
-    raag_inverse,
+    raag_commutes,
     raag_is_trivial,
     raag_normal_form,
+    retraction,
+    substitute,
     validate_choice,
 )
 
@@ -88,12 +89,11 @@ def multitwist_word(system, subset):
 
 def to_word_system(system):
     """WordSystem on the curve complex: one multitwist word per subset."""
-    cx = system.curve_complex()
     words = {
-        frozenset(curves): [(c, 1) for c in sorted(curves, key=sort_key)]
-        for curves in system.boundary.values()
+        frozenset(curves): multitwist_word(system, subset)
+        for subset, curves in system.boundary.items()
     }
-    return WordSystem(cx, words)
+    return WordSystem(system.curve_complex(), words)
 
 
 def audit_system(system):
@@ -473,69 +473,41 @@ def e7_kernel_word_z(power=1):
     return raag_commutator(inner, [z(v_set, 1)])
 
 
-def e7_kernel_check(power=1, artin_engine=None):
+def e7_kernel_check(power=1):
     """Three-leg verification of the E_7 kernel element with m = `power`.
 
     (i) nontrivial in RA of the E_7 subdivision, (ii) nontrivial in the
     Artin group by Garside normal form, (iii) trivial in the curve RAAG of
     the figure system after substituting multitwist words.
     """
-    from .diagram import type_diagram
     from .garside import ArtinEngine
     from .wgroup import build_group
 
-    e7 = type_diagram("E", 7, prefix="x")
-    # name the generators to match the figure system: chain t1..t6, s on t3
-    rename = {"x%d" % i: "t%d" % i for i in range(1, 7)}
-    rename["x7"] = "s"
-    diagram = CoxeterDiagram(
-        tuple(rename[v] for v in e7.vertices),
-        {frozenset(rename[v] for v in pair): m for pair, m in e7.labels.items()},
-    )
-
+    system = build_e7_figure()
+    diagram = system.diagram
     sub = subdivision(diagram)
     zword = e7_kernel_word_z(power)
     leg1 = not raag_is_trivial(sub.complex, zword)
-    # the four generators span a path, so the retraction already detects it
-    path_names = [subset_name(s) for s in (
-        frozenset(("t1", "t2", "t3", "t4", "s")),
-        frozenset(("s",)),
-        frozenset(("t2", "t3", "t4", "t5", "t6", "s")),
-        frozenset(("t2", "t3", "t4", "t5", "t6")),
-    )]
-    from .raag import retraction
+    # the four generators span a path, so the word is nontrivial already there
+    path = sub.complex.full_subcomplex({name for name, _ in zword})
+    leg1_path = not raag_is_trivial(path, zword)
 
-    leg1_retract = not raag_is_trivial(
-        sub.complex, retraction(sub.complex, path_names, zword)
-    )
-
-    t_set = ("t1", "t2", "t3", "t4", "s")
-    u_set = ("t2", "t3", "t4", "t5", "t6")
-    v_set = ("t2", "t3", "t4", "t5", "t6", "s")
-    dp = lambda sub_, e: delta_power(diagram, sub_, 2 * power * e)
-    inner = dp(t_set, 1) + dp(u_set, 1) + [("s", 2 * power)] + dp(u_set, -1) + dp(t_set, -1)
-    artin_word = inner + dp(v_set, 1) + raag_inverse(inner) + dp(v_set, -1)
-    eng = artin_engine
-    if eng is None:
-        eng = ArtinEngine(build_group(diagram))
-    nf = eng.normal_form(artin_word)
+    # the power is already in the exponents of zword
+    artin_word = phi_word(diagram, 1, zword, sub)
+    nf = ArtinEngine(build_group(diagram)).normal_form(artin_word)
     leg2 = not nf.is_trivial()
 
-    system = build_e7_figure()
-    cx = system.curve_complex()
-    mt = lambda s: multitwist_word(system, frozenset(s))
-    w_inner = (mt(t_set) + mt(u_set) + mt(("s",))
-               + [(c, -e) for c, e in reversed(mt(u_set))]
-               + [(c, -e) for c, e in reversed(mt(t_set))])
-    w_comm = raag_commutator(w_inner, mt(v_set))
-    leg3 = raag_is_trivial(cx, w_comm)
+    # each z_T becomes the multitwist about the boundary curves of T
+    w_curves = e7_kernel_word_z()
+    images = {name: multitwist_word(system, name.split("+")) for name, _ in w_curves}
+    leg3 = raag_is_trivial(system.curve_complex(), substitute(images, w_curves))
 
     return KernelReport(
-        leg1 and leg1_retract,
+        leg1 and leg1_path,
         leg2,
         leg3,
         {
-            "raag_retraction_nontrivial": leg1_retract,
+            "raag_retraction_nontrivial": leg1_path,
             "artin_word_length": sum(abs(e) for _, e in artin_word),
             "artin_normal_form_inf": nf.inf,
             "artin_canonical_length": nf.canonical_length,
@@ -560,7 +532,7 @@ def _puncture_interval_gens(a, b):
     return tuple("t%d" % i for i in range(a, b))
 
 
-def lantern_check(artin_engine=None):
+def lantern_check():
     """The lantern-relation counterexample for braids on 8 strands.
 
     The two boundary twists commute in the Artin group while the defining
@@ -581,20 +553,6 @@ def lantern_check(artin_engine=None):
     intervals_b = [((3, 6), -1), ((5, 8), -1), ((3, 4), 1), ((5, 6), 1),
                    ((7, 8), 1), ((3, 8), 1)]
 
-    def artin_word(spec):
-        out = []
-        for (a, b), sign in spec:
-            out.extend(delta_power(diagram, _puncture_interval_gens(a, b), 2 * sign))
-        return out
-
-    w_red, w_blue = artin_word(intervals_r), artin_word(intervals_b)
-    eng = artin_engine
-    if eng is None:
-        eng = ArtinEngine(build_group(diagram))
-    artin_commute = eng.commutes(w_red, w_blue)
-
-    sub = subdivision(diagram)
-
     def z_word(spec):
         return [
             (subset_name(_puncture_interval_gens(a, b)), sign)
@@ -602,8 +560,10 @@ def lantern_check(artin_engine=None):
         ]
 
     z_red, z_blue = z_word(intervals_r), z_word(intervals_b)
-    from .raag import raag_commutes, retraction
-
+    sub = subdivision(diagram)
+    eng = ArtinEngine(build_group(diagram))
+    artin_commute = eng.commutes(phi_word(diagram, 1, z_red, sub),
+                                 phi_word(diagram, 1, z_blue, sub))
     raag_comm = raag_commutes(sub.complex, z_red, z_blue)
 
     keep = [

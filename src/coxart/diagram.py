@@ -309,10 +309,6 @@ def finite_type(diagram, subset=None):
     return FiniteTypeReport(True, tuple(out))
 
 
-def is_spherical(diagram, subset=None):
-    return finite_type(diagram, subset).is_spherical
-
-
 def require_irreducible_spherical(diagram, subset):
     """Raise DiagramError unless `subset` is irreducible and spherical."""
     if len(irreducible_components(diagram, subset)) != 1:

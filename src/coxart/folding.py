@@ -29,7 +29,7 @@ class FoldedDiagram:
     fiber_size: int
     # per labeled edge: the fiber-index blocks, each wired as one copy of
     # the A_(m-1) x A_(m-1) diagram
-    block_layout: dict = None
+    block_layout: dict
 
     def fiber(self, g):
         return self.fibers[g]
@@ -52,7 +52,7 @@ class FoldedDiagram:
             "blocks": {
                 "%s|%s" % tuple(sorted(pair, key=sort_key)): blocks
                 for pair, blocks in sorted(
-                    (self.block_layout or {}).items(),
+                    self.block_layout.items(),
                     key=lambda kv: sorted(map(sort_key, kv[0])),
                 )
             },

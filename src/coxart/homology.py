@@ -36,9 +36,6 @@ class H1Vector:
             d[r] = d.get(r, 0) + c
         return H1Vector.from_dict(d)
 
-    def __neg__(self):
-        return H1Vector(tuple((r, -c) for r, c in self.coeffs))
-
     def coefficient(self, root_index):
         return self.as_dict().get(root_index, 0)
 
@@ -149,7 +146,7 @@ class AuditReport:
     failures: list
 
 
-def longest_hyperplane_audit(m, max_syllables=None, exponent_bound=3):
+def longest_hyperplane_audit(m, exponent_bound=3):
     """Exhaustively check that pure dihedral words of syllable length < m
     have an H1 image missing a longest hyperplane.
 
@@ -158,13 +155,11 @@ def longest_hyperplane_audit(m, max_syllables=None, exponent_bound=3):
     """
     if m < 3:
         raise DiagramError("dihedral audit needs m >= 3")
-    limit = (m - 1) if max_syllables is None else min(max_syllables, m - 1)
     group = build_group(type_diagram("I", 2, m))
     s, t = group.gens
     longest = longest_hyperplane_indices(m)
 
     exps = [e for e in range(-exponent_bound, exponent_bound + 1) if e]
-    words = [[]]
     scanned = 0
     pure = 0
     failures = []
@@ -187,5 +182,5 @@ def longest_hyperplane_audit(m, max_syllables=None, exponent_bound=3):
                 extend(word, remaining - 1, g)
                 word.pop()
 
-    extend([], limit, None)
+    extend([], m - 1, None)
     return AuditReport(not failures, scanned, pure, failures)

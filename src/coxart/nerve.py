@@ -13,7 +13,7 @@ from .diagram import (
     sort_key,
 )
 from .garside import delta_power
-from .raag import FlagComplex, RaagError, bit_positions
+from .raag import FlagComplex, RaagError, bit_positions, substitute
 
 DEFAULT_MAX_RANK = 12
 
@@ -166,10 +166,10 @@ def phi_word(diagram, n_power, raag_word, subdivided=None):
     if n_power < 1:
         raise ValueError("N must be a positive integer")
     sub = subdivided if subdivided is not None else subdivision(diagram)
-    out = []
-    for name, exp in raag_word:
+    images = {}
+    for name, _ in raag_word:
         if name not in sub.vertex_subsets:
             raise RaagError("unknown subdivision vertex %r" % (name,))
-        subset = sub.vertex_subsets[name]
-        out.extend(delta_power(diagram, subset, 2 * n_power * exp))
-    return out
+        if name not in images:
+            images[name] = delta_power(diagram, sub.vertex_subsets[name], 2 * n_power)
+    return substitute(images, raag_word)

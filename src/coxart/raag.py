@@ -142,7 +142,18 @@ class FlagComplex:
 
 
 def complex_from_json(doc):
-    return FlagComplex.build(doc["vertices"], [tuple(e) for e in doc["edges"]])
+    """The complex of {"vertices": [name, ...], "edges": [[a, b], ...]}."""
+    if not isinstance(doc, dict):
+        raise RaagError("a complex must be a JSON object")
+    vertices, edges = doc.get("vertices"), doc.get("edges")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise RaagError("'vertices' must be a list of strings")
+    if not isinstance(edges, list):
+        raise RaagError("'edges' must be a list of vertex pairs")
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
+            raise RaagError("bad edge %r" % (e,))
+    return FlagComplex.build(vertices, [tuple(e) for e in edges])
 
 
 # -- words -------------------------------------------------------------------
@@ -172,6 +183,15 @@ def raag_inverse(word):
 
 def raag_commutator(w1, w2):
     return list(w1) + list(w2) + raag_inverse(w1) + raag_inverse(w2)
+
+
+def substitute(images, word):
+    """The homomorphism given by one image word per letter: x^e -> images[x]^e."""
+    out = []
+    for v, e in word:
+        image = images[v] if e > 0 else raag_inverse(images[v])
+        out.extend(list(image) * abs(e))
+    return out
 
 
 def _check_letters(complex_, word):
@@ -595,15 +615,7 @@ def verify_injectivity_bounded(
             if any(sums.values()):
                 continue
         slow += 1
-        substituted = []
-        for v, e in word:
-            img = images[v]
-            if e > 0:
-                substituted.extend(list(img) * e)
-            else:
-                inv = [(g, -x) for g, x in reversed(img)]
-                substituted.extend(inv * (-e))
-        if target_is_trivial(substituted):
+        if target_is_trivial(substitute(images, word)):
             return InjectivityReport(
                 False, checked, slow, word, "nontrivial word maps to identity"
             )

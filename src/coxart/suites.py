@@ -37,19 +37,6 @@ from .raag import (
 )
 from .wgroup import build_group
 
-SUITES = (
-    "garside-core",
-    "tits-classic",
-    "gtc-bounded",
-    "dihedral-audit",
-    "pp-suite",
-    "an-curves",
-    "dn-curves",
-    "folding-suite",
-    "e7-kernel",
-    "lantern",
-)
-
 #: irreducible spherical types of rank at most 4, plus a generic odd dihedral
 RANK4_TYPES = (
     ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None),
@@ -144,6 +131,12 @@ def _int_option(key, value, least):
         raise ValueError("suite option %r must be an integer >= %d, got %s"
                          % (key, least, json.dumps(value)))
     return value
+
+
+def _budget(config):
+    """The letter budget option: absent (the engine default) or an integer >= 1."""
+    budget = config.get("budget")
+    return None if budget is None else _int_option("budget", budget, 1)
 
 
 def _alternating(a, b, m):
@@ -686,7 +679,7 @@ def suite_folding(config=None):
     from .folding import build_folded, component_report, fold_images
 
     rec = _Recorder("folding-suite")
-    budget = (config or {}).get("budget")
+    budget = _budget(config or {})
     max_len = _int_option("f_max_len", (config or {}).get("f_max_len", 4), 1)
     for tag, diagram in _fold_cases():
         def check_components(tag=tag, diagram=diagram):
@@ -752,6 +745,7 @@ def gtc_bounded_check(diagram, n_power, max_len, budget=None):
 def suite_gtc_bounded(config=None):
     rec = _Recorder("gtc-bounded")
     config = config or {}
+    budget = _budget(config)
     if "type" in config:
         if not isinstance(config["type"], str):
             raise ValueError("suite option 'type' must be a diagram string, "
@@ -763,6 +757,9 @@ def suite_gtc_bounded(config=None):
         cases = [(config["type"], _int_option("N", config.get("N", 1), 1),
                   _int_option("max_len", config.get("max_len", 6), 1))]
     else:
+        unread = sorted({"N", "max_len"} & config.keys())
+        if unread:
+            raise ValueError("suite option %r is read only with 'type'" % unread[0])
         cases = [
             ("type I 2 4", 1, 6),
             ("type I 2 5", 1, 6),
@@ -772,7 +769,7 @@ def suite_gtc_bounded(config=None):
     for spec, n_power, max_len in cases:
         def check(spec=spec, n_power=n_power, max_len=max_len):
             diagram = parse_diagram(spec)
-            report = gtc_bounded_check(diagram, n_power, max_len)
+            report = gtc_bounded_check(diagram, n_power, max_len, budget)
             assert report.ok, "%s (word %s)" % (report.detail, report.violation)
             return "%d words, %d through the Garside engine" % (
                 report.words_checked, report.slow_path_checked
@@ -851,8 +848,22 @@ _SUITE_FUNCS = {
     "lantern": suite_lantern,
 }
 
+SUITES = tuple(_SUITE_FUNCS)
+
+#: the config keys each suite reads; any other key is a usage error
+_OPTIONS = {
+    "gtc-bounded": ("type", "N", "max_len", "budget"),
+    "an-curves": ("max_rank",),
+    "dn-curves": ("ranks",),
+    "folding-suite": ("budget", "f_max_len"),
+    "e7-kernel": ("power",),
+}
+
 
 def run_suite(name, config=None):
     if name not in _SUITE_FUNCS:
         raise KeyError("unknown suite %r (choose from %s)" % (name, SUITES))
+    unread = sorted(set(config or ()) - set(_OPTIONS.get(name, ())))
+    if unread:
+        raise ValueError("suite %s reads no option %r" % (name, unread[0]))
     return _SUITE_FUNCS[name](config)

@@ -294,8 +294,8 @@ class WGroup(object):
                 return w
             w = self.mul_gen(w, up[0])
 
-    def coxeter_element(self, ordering=None):
-        return self.word_to_element(ordering if ordering is not None else self.gens)
+    def coxeter_element(self):
+        return self.word_to_element(self.gens)
 
     def coxeter_number(self):
         return self.order(self.coxeter_element())

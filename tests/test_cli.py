@@ -82,6 +82,20 @@ def test_pp_check_file(tmp_path, capsys):
     assert code == 0 and "certified" in out
 
 
+def test_pp_check_malformed_files_exit_two(tmp_path, capsys):
+    docs = (
+        ({"vertices": ["a", "b"], "edges": [5]}, "bad edge 5"),
+        ({"vertices": [1, 2], "edges": []}, "'vertices'"),
+        ({"vertices": ["a", "b"], "edges": [], "words": {"a": 3}}, "'words'"),
+    )
+    for doc, message in docs:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pp-check", "--words", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_verify_exit_codes_and_determinism(capsys):
     code1, out1, _ = run(capsys, "verify", "tits-classic", "--json")
     code2, out2, _ = run(capsys, "verify", "tits-classic", "--json")
@@ -109,7 +123,11 @@ def test_usage_errors_exit_two(capsys):
                   '{"type": "vertex a; vertex b; vertex c; edge a b 3; '
                   'edge b c 3; edge a c 3", "max_len": 2}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
-                 ("verify", "e7-kernel", "--config", '{"power": 0}')):
+                 ("verify", "e7-kernel", "--config", '{"power": 0}'),
+                 ("verify", "an-curves", "--config", '{"max_rnk": 3}'),
+                 ("verify", "folding-suite", "--config",
+                  '{"budget": "x", "f_max_len": 1}'),
+                 ("verify", "tits-classic", "--budget", "3")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -344,6 +344,33 @@ def test_folding_suite_budget_marks_skipped():
                for c in skipped)
 
 
+def test_gtc_bounded_budget_marks_skipped():
+    from coxart.suites import run_suite
+
+    result = run_suite("gtc-bounded", {"type": "type A 3", "N": 1,
+                                       "max_len": 4, "budget": 3})
+    assert result.ok
+    [check] = result.checks
+    assert check.status == "skipped"
+    assert "garside" in check.detail and "letter budget 3" in check.detail
+
+
+def test_e7_kernel_word_lives_on_a_path():
+    # the four letters span the path T - s - V - U of the E_7 subdivision,
+    # and the kernel word is already nontrivial in the RAAG of that path
+    from coxart.curves import e7_kernel_word_z
+    from coxart.nerve import subdivision
+    from coxart.raag import raag_is_trivial
+
+    zword = e7_kernel_word_z()
+    sub = subdivision(build_e7_figure().diagram)
+    path = sub.complex.full_subcomplex({name for name, _ in zword})
+    t, u, v = "s+t1+t2+t3+t4", "t2+t3+t4+t5+t6", "s+t2+t3+t4+t5+t6"
+    assert sorted(path.vertices) == sorted((t, "s", v, u))
+    assert path.edges == {frozenset(p) for p in ((t, "s"), ("s", v), (v, u))}
+    assert not raag_is_trivial(path, zword)
+
+
 def test_a22_curve_complex_holds_under_a_megabyte():
     import tracemalloc
 
