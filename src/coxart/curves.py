@@ -39,23 +39,32 @@ class CurveSystem:
     family: str
     rank: int
     diagram: CoxeterDiagram  # the ambient Artin diagram the subsets live in
-    curves: tuple
-    intersections: frozenset  # frozensets {c1, c2} of intersecting curves
+    complex: FlagComplex  # the curves, adjacent when disjoint
     boundary: dict  # frozenset subset -> tuple of curve names
 
+    @property
+    def curves(self):
+        return self.complex.vertices
+
+    @property
+    def intersections(self):
+        """Frozensets {c1, c2} of intersecting curves, derived from the complex."""
+        cs = self.curves
+        return frozenset(
+            frozenset((a, b)) for i, a in enumerate(cs) for b in cs[i + 1:]
+            if not self.complex.adjacent(a, b)
+        )
+
     def intersects(self, c1, c2):
-        return c1 != c2 and frozenset((c1, c2)) in self.intersections
+        cx = self.complex
+        return c1 != c2 and c1 in cx and c2 in cx and not cx.adjacent(c1, c2)
 
     def subsets(self):
         return sorted(self.boundary, key=lambda s: (len(s), sorted(map(sort_key, s))))
 
     def curve_complex(self):
         """Flag complex on the curves; adjacency = disjointness."""
-        cs = self.curves
-        return FlagComplex.build(cs, (
-            (a, b) for i, a in enumerate(cs) for b in cs[i + 1:]
-            if not self.intersects(a, b)
-        ))
+        return self.complex
 
     def multicurve(self, subset):
         return self.boundary[frozenset(subset)]
@@ -133,6 +142,16 @@ def audit_system(system):
     return defects
 
 
+def _system(family, rank, diagram, curves, meets, boundary):
+    """The CurveSystem on `curves` whose complex joins each pair that
+    `meets(a, b)` (asked once per pair, a before b) calls disjoint."""
+    cs = sorted(curves, key=sort_key)
+    cx = FlagComplex(cs, (
+        (a, b) for i, a in enumerate(cs) for b in cs[i + 1:] if not meets(a, b)
+    ))
+    return CurveSystem(family, rank, diagram, cx, boundary)
+
+
 # -- type A ------------------------------------------------------------------
 
 def _interval_commutes(i1, j1, i2, j2):
@@ -184,13 +203,8 @@ def build_an(n):
                 desc[prim] = (i, j, True)
             boundary[subset] = tuple(names)
 
-    curves = tuple(sorted(desc, key=sort_key))
-    inters = set()
-    for a in curves:
-        for b in curves:
-            if sort_key(a) < sort_key(b) and _an_pair_intersects(desc[a], desc[b]):
-                inters.add(frozenset((a, b)))
-    return CurveSystem("An", n, diagram, curves, frozenset(inters), boundary)
+    return _system("An", n, diagram, desc,
+                   lambda a, b: _an_pair_intersects(desc[a], desc[b]), boundary)
 
 
 # -- type D ------------------------------------------------------------------
@@ -310,13 +324,8 @@ def build_dn(n):
                     add(rname % (j + 1, "'" if primed else ""), ("r", j + 1, primed)),
                 )
 
-    curves = tuple(sorted(desc, key=sort_key))
-    inters = set()
-    for a in curves:
-        for b in curves:
-            if sort_key(a) < sort_key(b) and _dn_pair_intersects(desc[a], desc[b]):
-                inters.add(frozenset((a, b)))
-    return CurveSystem("Dn", n, diagram, curves, frozenset(inters), boundary)
+    return _system("Dn", n, diagram, desc,
+                   lambda a, b: _dn_pair_intersects(desc[a], desc[b]), boundary)
 
 
 # -- folded F_4 and H_4 targets, and the E_7 figure ---------------------------
@@ -338,9 +347,9 @@ def _system_from_fixture(family, rank, doc):
         frozenset(key.split("+")): tuple(val)
         for key, val in doc["boundary"].items()
     }
-    curves = tuple(sorted({c for cs in boundary.values() for c in cs}, key=sort_key))
-    inters = frozenset(frozenset(p) for p in doc["intersections"])
-    return CurveSystem(family, rank, diagram, curves, inters, boundary)
+    meets = {frozenset(p) for p in doc["intersections"]}
+    return _system(family, rank, diagram, {c for cs in boundary.values() for c in cs},
+                   lambda a, b: frozenset((a, b)) in meets, boundary)
 
 
 def build_e6_folded():

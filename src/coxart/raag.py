@@ -73,6 +73,9 @@ class FlagComplex:
             for j in bit_positions(m & -(2 << i)):  # the neighbours after i
                 yield vs[i], vs[j]
 
+    def __contains__(self, v):
+        return v in self._index
+
     def adjacent(self, a, b):
         index = self._index
         try:
@@ -350,7 +353,7 @@ class WordSystem:
             word = normalize_syllables(word)
             if not word:
                 continue
-            if not all(v in self.complex._index for v in simplex):
+            if not all(v in self.complex for v in simplex):
                 raise RaagError("simplex %s not in complex" % sorted(simplex))
             if not self.complex.is_clique(simplex):
                 raise RaagError("%s is not a simplex" % sorted(simplex))

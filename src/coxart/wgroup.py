@@ -10,6 +10,8 @@ per-p table.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import accumulate
+from operator import itemgetter
 
 from .diagram import (
     DiagramError,
@@ -187,34 +189,23 @@ class WGroup(object):
         self.report = report
         self.gens = subset
 
-        self._models = [_component_model(c) for c in report.components]
-        self.n_pos = sum(m.n_pos for m in self._models)
+        models = [_component_model(c) for c in report.components]
+        self.n_pos = sum(m.n_pos for m in models)
         self.size = 2 * self.n_pos
-
         self.identity = tuple(range(self.size))
-        self._simple = {}
-        self._alpha = {}
-        self._reflections = [None] * self.n_pos
-        self._reflection_root_comp = []
-        offset = 0
-        for model in self._models:
-            def glob(j, off=offset, n=model.n_pos):
-                return off + j if j < n else self.n_pos + off + (j - n)
 
-            for g, perm in model.simple_perms.items():
-                full = list(self.identity)
-                for j, img in enumerate(perm):
-                    full[glob(j)] = glob(img)
-                self._simple[g] = tuple(full)
-            for k, perm in enumerate(model.reflection_perms):
-                full = list(self.identity)
-                for j, img in enumerate(perm):
-                    full[glob(j)] = glob(img)
-                self._reflections[offset + k] = tuple(full)
-            offset += model.n_pos
+        # each model with the index where its positive roots start
+        starts = accumulate((m.n_pos for m in models), initial=0)
+        self._components = tuple(zip(models, starts))
+        self._simple = {
+            g: self._lift(perm, offset)
+            for model, offset in self._components
+            for g, perm in model.simple_perms.items()
+        }
 
         # index of the simple root of each generator: the unique positive
         # root its reflection sends negative
+        self._alpha = {}
         for g, perm in self._simple.items():
             sent = [i for i in range(self.n_pos) if perm[i] >= self.n_pos]
             assert len(sent) == 1
@@ -224,9 +215,22 @@ class WGroup(object):
 
     # -- basic permutation algebra -------------------------------------
 
+    def _lift(self, local, offset):
+        """The permutation acting as the component permutation `local` on the
+        component whose positive roots start at `offset`, fixing the rest."""
+        n = len(local) // 2
+        # global index of each local root: positives, then their negatives
+        where = tuple(range(offset, offset + n)) + tuple(
+            range(self.n_pos + offset, self.n_pos + offset + n))
+        full = list(self.identity)
+        for j, img in zip(where, local):
+            full[j] = where[img]
+        return tuple(full)
+
     def compose(self, u, v):
         """u then-after v, i.e. the element acting by r -> u(v(r))."""
-        return tuple(map(u.__getitem__, v))
+        # one C-level gather; itemgetter() of no index raises, hence the guard
+        return itemgetter(*v)(u) if v else ()
 
     def mul_gen(self, w, g):
         """w * s_g (right multiplication by a generator)."""
@@ -301,11 +305,19 @@ class WGroup(object):
         return self.order(self.coxeter_element())
 
     def reflections(self):
-        """Reflection permutations indexed by the positive root they negate."""
-        return list(self._reflections)
+        """Reflection permutations indexed by the positive root they negate,
+        lifted from the component models on each call."""
+        return [
+            self._lift(perm, offset)
+            for model, offset in self._components
+            for perm in model.reflection_perms
+        ]
 
     def reflection_perm(self, root_index):
-        return self._reflections[root_index]
+        for model, offset in self._components:
+            if offset <= root_index < offset + model.n_pos:
+                return self._lift(model.reflection_perms[root_index - offset], offset)
+        raise IndexError("no positive root %r" % (root_index,))
 
 
 def build_group(diagram, subset=None):

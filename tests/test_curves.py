@@ -384,3 +384,26 @@ def test_a22_curve_complex_holds_under_a_megabyte():
     assert held < 1_000_000, "the complex holds %d bytes" % held
     assert len(cx.vertices) == 363
     assert sum(m.bit_count() for m in cx.neighbours) == 2 * 44342
+
+
+def test_a22_build_peaks_under_a_megabyte():
+    import tracemalloc
+
+    build_an(3)  # imports and module-level caches
+    tracemalloc.start()
+    try:
+        system = build_an(22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, "building A_22 peaked at %d bytes" % peak
+    assert len(system.curves) == 363
+    assert len(system.intersections) == 363 * 362 // 2 - 44342
+
+
+def test_intersects_is_false_for_an_unknown_curve():
+    system = build_an(4)
+    assert not system.intersects("t1:3", "nowhere")
+    assert not system.intersects("nowhere", "nowhere")
+    assert not system.intersects("t1:3", "t1:3")
+    assert all(system.intersects(*sorted(p)) for p in system.intersections)

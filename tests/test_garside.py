@@ -441,3 +441,32 @@ def test_disguised_signed_words_agree(family, data):
     eng = ArtinEngine(build_group(d))
     assert eng.normal_form(word) == eng.normal_form(disguised)
     assert eng.is_trivial(word + [(g, -e) for g, e in reversed(word)])
+
+
+# -- the normal forms themselves, pinned: a change to the engine or to the
+# group layer under it must leave every (inf, canon) as it was ------------
+
+#: sha256 of _garside_digest(), recorded before WGroup.compose became one
+#: C-level gather and reflection tables were built on demand
+GARSIDE_NF_SHA256 = "8e5e2d6b13dfb11fa0eadf694d0ff26895abc5d9818b69e8a261ab777302d863"
+
+
+def _garside_digest():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for family, rank, p in (("E", 8, None), ("H", 4, None), ("F", 4, None),
+                            ("D", 6, None), ("I", 2, 7)):
+        d = type_diagram(family, rank, p)
+        eng = ArtinEngine(build_group(d))
+        rng = random.Random("garside-pin:%s%d:%s" % (family, rank, p))
+        for _ in range(4):
+            word = [(rng.choice(d.vertices), rng.choice((1, -1, 2, -2)))
+                    for _ in range(40)]
+            nf = eng.normal_form(word)
+            digest.update(repr((nf.inf, nf.canon)).encode())
+    return digest.hexdigest()
+
+
+def test_garside_normal_forms_match_pinned_digest():
+    assert _garside_digest() == GARSIDE_NF_SHA256

@@ -249,3 +249,68 @@ def test_e8_root_closure_240_roots():
     g = build_group(type_diagram("E", 8))
     assert g.n_pos == 120
     assert g.length(g.w0) == 120
+
+
+# -- compose as one gather, and reflections lifted on demand ----------------
+
+COMPOSE_TYPES = [("A", 1, None), ("I", 2, 7), ("H", 4, None), ("E", 8, None)]
+
+
+@pytest.mark.parametrize("fam,n,p", COMPOSE_TYPES)
+def test_compose_is_a_gather_and_associative(fam, n, p):
+    import random
+
+    g = build_group(type_diagram(fam, n, p))
+    rng = random.Random("compose:%s%d:%s" % (fam, n, p))
+    elements = [g.word_to_element([rng.choice(g.gens) for _ in range(rng.randrange(12))])
+                for _ in range(6)]
+    for u, v, w in zip(elements, elements[1:], elements[2:]):
+        uv = g.compose(u, v)
+        assert isinstance(uv, tuple) and len(uv) == g.size
+        assert all(uv[r] == u[v[r]] for r in range(g.size))
+        assert g.compose(uv, w) == g.compose(u, g.compose(v, w))
+        for x in g.gens:
+            word = g.reduced_word(u)
+            assert g.mul_gen(u, x) == g.word_to_element(word + (x,))
+            assert g.gen_mul(x, u) == g.word_to_element((x,) + word)
+
+
+def test_trivial_group_composes_and_normalises():
+    from coxart.garside import ArtinEngine
+
+    g = build_group(type_diagram("A", 3), ())
+    assert g.size == 0 and g.identity == () == g.w0
+    assert g.compose(g.identity, g.identity) == ()
+    assert g.reflections() == []
+    nf = ArtinEngine(g).normal_form([])
+    assert nf.is_trivial() and nf.inf == 0 and nf.canon == ()
+
+
+def test_reflections_of_a_reducible_group_negate_their_roots():
+    d = parse_diagram("vertex a; vertex b; vertex c; vertex d; vertex e; "
+                      "edge a b 3; edge d e 5")
+    g = build_group(d)  # A_2 x A_1 x H_2
+    refl = g.reflections()
+    assert len(refl) == g.n_pos == 3 + 1 + 5
+    for k, r in enumerate(refl):
+        assert r == g.reflection_perm(k)
+        assert r[k] == k + g.n_pos  # the root it negates
+        assert g.compose(r, r) == g.identity
+        assert g.word_to_element(g.reduced_word(r)) == r
+    with pytest.raises(IndexError):
+        g.reflection_perm(g.n_pos)
+
+
+def test_second_e8_build_holds_no_reflection_tables():
+    import tracemalloc
+
+    d = type_diagram("E", 8)
+    build_group(d)  # the root model is cached from here on
+    tracemalloc.start()
+    try:
+        g = build_group(d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 64_000, "a second E8 group holds %d bytes" % held
+    assert len(g.reflections()) == 120
