@@ -14,7 +14,7 @@ import sys
 from .curves import FAMILIES, build_system
 from .diagram import DiagramError, parse_diagram
 from .garside import ArtinEngine, BudgetExceeded, parse_word
-from .homology import h1_image, reflection_label
+from .homology import h1_image, reflection_labels
 from .nerve import nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
 from .suites import SUITES, run_suite
@@ -61,9 +61,8 @@ def cmd_subdivide(args):
 def cmd_h1(args):
     group = build_group(_load_diagram(args.group))
     vec = h1_image(group, parse_word(args.word))
-    entries = {
-        reflection_label(group, r): c for r, c in vec.coeffs
-    }
+    labels = reflection_labels(group, [r for r, _ in vec.coeffs])
+    entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
     text = " ".join("%s:%d" % (k, v) for k, v in sorted(entries.items()))
     _emit(args, {"coefficients": entries}, text or "0")
     return 0

@@ -123,9 +123,11 @@ def independence_check(group, words):
     return integer_rank(rows) == len(words)
 
 
-def reflection_label(group, root_index):
-    """Reduced word of the reflection negating the given positive root."""
-    return "".join(group.reduced_word(group.reflection_perm(root_index)))
+def reflection_labels(group, root_indices):
+    """Reduced words of the reflections negating the given positive roots,
+    read off one reflection table."""
+    table = group.reflections()
+    return ["".join(group.reduced_word(table[r])) for r in root_indices]
 
 
 def longest_hyperplane_indices(m):

@@ -1,19 +1,20 @@
 """Finite Coxeter groups as permutation groups on their root systems.
 
 Elements are permutations of the root index set; all coordinates are exact
-(integers, and Z[phi] as integer pairs for H).  Every root system is built
-from its Cartan matrix in simple-root coordinates; rank-2 components use a
-closed-form dihedral action on root indices, so arbitrary I_2(p) needs no
-per-p table.
+(integers, and Z[phi] as integer pairs for H).  Rank-2 components act on
+root rays by closed-form index arithmetic; every other root system is built
+from its Cartan matrix in simple-root coordinates.  Either way an
+irreducible type contributes only its simple reflections, kept in a bounded
+cache; every other reflection is derived from them by WGroup.reflections().
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from itertools import accumulate
+from functools import cmp_to_key, lru_cache
 from operator import itemgetter
 
 from .diagram import (
+    ComponentType,
     DiagramError,
     finite_type,
     sort_key,
@@ -55,32 +56,18 @@ def _lex_compare(r, s):
 _CARTAN = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 4: (-1, 0), 5: (0, -1)}
 
 
-class _ComponentModel(object):
-    """Root permutation model of one irreducible component.
-
-    Local root indices: 0..n_pos-1 the positive roots, i + n_pos their
-    negatives.  simple_perms maps each generator name to its permutation.
-    """
-
-    def __init__(self, ctype, n_pos, simple_perms, reflection_perms):
-        self.ctype = ctype
-        self.n_pos = n_pos
-        self.simple_perms = simple_perms
-        self.reflection_perms = reflection_perms  # per positive root
-
-
-def _root_model(ctype, diagram):
+def _root_model(family, diagram):
     """Close the simple roots under the simple reflections and return the
-    component model.
+    simple-reflection permutations, in the vertex order of `diagram`.
 
     Roots are coefficient tuples in the simple-root basis, read off the
     Cartan matrix of `diagram`; positive roots are sorted lexicographically
     by their coefficients.
     """
-    n = ctype.rank
     names = diagram.vertices
+    n = len(names)
     # the only per-family data: which simple roots are short
-    short = {"B": (n - 1,), "F": (2, 3)}.get(ctype.family, ())
+    short = {"B": (n - 1,), "F": (2, 3)}.get(family, ())
 
     def entry(i, j):
         m = diagram.m(names[i], names[j])
@@ -99,76 +86,42 @@ def _root_model(ctype, diagram):
         return root[:j] + ((a - c0, b - c1),) + root[j + 1:]
 
     simples = [tuple((int(i == j), 0) for i in range(n)) for j in range(n)]
-    found = list(simples)  # breadth-first, so every root follows its parent
-    parent = dict.fromkeys(simples)
+    found = list(simples)
+    seen = set(simples)
     for root in found:
         for j in range(n):
             if root != simples[j]:
                 image = reflect(j, root)  # positive, since root != alpha_j
-                if image not in parent:
-                    parent[image] = (j, root)
+                if image not in seen:
+                    seen.add(image)
                     found.append(image)
-    n_pos = len(found)
-    assert n_pos == ctype.reflection_count, (
-        "unexpected root count for %s: %d" % (ctype.tag, n_pos)
+    expected = ComponentType(family, n, names).reflection_count
+    assert len(found) == expected, (
+        "unexpected root count for %s_%d: %d" % (family, n, len(found))
     )
 
     positives = sorted(found, key=cmp_to_key(_lex_compare))
     ordered = positives + [tuple((-a, -b) for a, b in r) for r in positives]
     index = {root: i for i, root in enumerate(ordered)}
-    perms = [tuple(index[reflect(j, root)] for root in ordered) for j in range(n)]
-
-    # s_{s_j beta} = s_j s_beta s_j
-    by_root = {root: perms[j] for j, root in enumerate(simples)}
-    for root in found[n:]:
-        j, prev = parent[root]
-        s, t = perms[j], by_root[prev]
-        by_root[root] = tuple(s[t[s[k]]] for k in range(2 * n_pos))
-
-    simple_perms = {g: perms[j] for j, g in enumerate(ctype.order)}
-    reflection_perms = [by_root[root] for root in positives]
-    return _ComponentModel(ctype, n_pos, simple_perms, reflection_perms)
+    return tuple(tuple(index[reflect(j, root)] for root in ordered) for j in range(n))
 
 
-def _dihedral_model(ctype, p):
+def _dihedral_model(p):
     """I_2(p) on root indices: rays at angle k*pi/p, k mod 2p, positives k < p."""
     n = 2 * p
-
-    def perm(f):
-        return tuple(f(j) % n for j in range(n))
-
-    s_name, t_name = ctype.order
-    simple_perms = {
-        s_name: perm(lambda j: p - j),
-        t_name: perm(lambda j: p - 2 - j),
-    }
-    # reflection across the line perpendicular to beta_k
-    reflection_perms = [perm(lambda j, k=k: 2 * k + p - j) for k in range(p)]
-    return _ComponentModel(ctype, p, simple_perms, reflection_perms)
+    return (tuple((p - j) % n for j in range(n)),
+            tuple((p - 2 - j) % n for j in range(n)))
 
 
-def _build_component(ctype):
-    diagram = type_diagram(ctype.family, ctype.rank, ctype.p or None)
-    if ctype.rank == 2:
-        return _dihedral_model(ctype, diagram.m(*diagram.vertices))
-    return _root_model(ctype, diagram)
-
-
-_MODEL_CACHE = {}
-
-
-def _component_model(ctype):
-    key = (ctype.family, ctype.rank, ctype.p)
-    if key not in _MODEL_CACHE:
-        anon = ctype.__class__(ctype.family, ctype.rank,
-                               tuple(range(ctype.rank)), ctype.p)
-        _MODEL_CACHE[key] = _build_component(anon)
-    model = _MODEL_CACHE[key]
-    # re-key the cached generator permutations by this component's names
-    simple_perms = {
-        name: model.simple_perms[i] for i, name in enumerate(ctype.order)
-    }
-    return _ComponentModel(ctype, model.n_pos, simple_perms, model.reflection_perms)
+@lru_cache(maxsize=32)  # all suites together build 21 distinct types
+def _simple_perms(family, rank, p):
+    """Simple-reflection permutations of one irreducible type on its local
+    root indices (positives 0..n_pos-1, then their negatives), in the
+    standard vertex order of type_diagram."""
+    diagram = type_diagram(family, rank, p or None)
+    if rank == 2:
+        return _dihedral_model(diagram.m(*diagram.vertices))
+    return _root_model(family, diagram)
 
 
 class WGroup(object):
@@ -185,23 +138,19 @@ class WGroup(object):
         if not report.is_spherical:
             raise DiagramError("subset %s is not spherical" % (list(subset),))
         self.diagram = diagram
-        self.subset = subset
-        self.report = report
         self.gens = subset
 
-        models = [_component_model(c) for c in report.components]
-        self.n_pos = sum(m.n_pos for m in models)
+        self.n_pos = sum(c.reflection_count for c in report.components)
         self.size = 2 * self.n_pos
         self.identity = tuple(range(self.size))
 
-        # each model with the index where its positive roots start
-        starts = accumulate((m.n_pos for m in models), initial=0)
-        self._components = tuple(zip(models, starts))
-        self._simple = {
-            g: self._lift(perm, offset)
-            for model, offset in self._components
-            for g, perm in model.simple_perms.items()
-        }
+        # each component's positive roots follow those of the one before
+        self._simple = {}
+        offset = 0
+        for c in report.components:
+            perms = _simple_perms(c.family, c.rank, c.p)
+            self._simple.update(zip(c.order, (self._lift(p, offset) for p in perms)))
+            offset += c.reflection_count
 
         # index of the simple root of each generator: the unique positive
         # root its reflection sends negative
@@ -306,18 +255,25 @@ class WGroup(object):
 
     def reflections(self):
         """Reflection permutations indexed by the positive root they negate,
-        lifted from the component models on each call."""
-        return [
-            self._lift(perm, offset)
-            for model, offset in self._components
-            for perm in model.reflection_perms
-        ]
+        derived on each call: start from the simple reflections and walk the
+        positive roots, s_{s_g(beta)} = s_g s_beta s_g."""
+        n = self.n_pos
+        table = [None] * n
+        for g, r in self._alpha.items():
+            table[r] = self._simple[g]
+        frontier = list(self._alpha.values())
+        for r in frontier:
+            for s in self._simple.values():
+                q = s[r]
+                if q < n and table[q] is None:
+                    table[q] = self.compose(s, self.compose(table[r], s))
+                    frontier.append(q)
+        return table
 
     def reflection_perm(self, root_index):
-        for model, offset in self._components:
-            if offset <= root_index < offset + model.n_pos:
-                return self._lift(model.reflection_perms[root_index - offset], offset)
-        raise IndexError("no positive root %r" % (root_index,))
+        if not 0 <= root_index < self.n_pos:
+            raise IndexError("no positive root %r" % (root_index,))
+        return self.reflections()[root_index]
 
 
 def build_group(diagram, subset=None):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from coxart.cli import main
+from coxart.diagram import type_diagram
+from coxart.garside import delta_word
 
 
 def run(capsys, *argv):
@@ -37,6 +40,29 @@ def test_h1_output(capsys):
                        "--word", "s t s s t s")
     assert code == 0
     assert out.split() == ["s:1", "sts:1", "t:1"]
+
+
+#: sha256 of the text output of `coxart h1` on Delta^2 (every reflection label
+#: with coefficient 1), recorded before reflections were derived from the
+#: simple reflections
+H1_DELTA_SQUARE = {
+    "type E 8": (("E", 8, None), 120,
+                 "cf2b2903110308afaee533e6be18b736ce4253fc23fb41907c5eb07bf6311a13"),
+    "type I 2 12": (("I", 2, 12), 12,
+                    "884cf447239ab0ac9037dc9bbc492a41a866890ceba95485bd5c932887be70d2"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(H1_DELTA_SQUARE))
+def test_h1_labels_of_delta_square_match_pinned_digest(capsys, tag):
+    typ, count, digest = H1_DELTA_SQUARE[tag]
+    d = type_diagram(*typ)
+    word = " ".join("%s^%d" % ge for ge in delta_word(d, d.vertices, 2))
+    code, out, _ = run(capsys, "h1", "--group", tag, "--word", word)
+    assert code == 0
+    entries = out.split()
+    assert len(entries) == count and all(e.endswith(":1") for e in entries)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_subdivide_dot(capsys):

@@ -314,3 +314,46 @@ def test_second_e8_build_holds_no_reflection_tables():
         tracemalloc.stop()
     assert held < 64_000, "a second E8 group holds %d bytes" % held
     assert len(g.reflections()) == 120
+
+
+# -- reflections derived from the simple reflections ------------------------
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 12, 97])
+def test_dihedral_reflections_match_closed_form(p):
+    # independent oracle: on rays at angle j*pi/p (j mod 2p, positives
+    # j < p) the reflection negating ray k sends j to 2k + p - j
+    g = build_group(type_diagram("I", 2, p))
+    table = g.reflections()
+    assert g.n_pos == len(table) == p
+    for k in range(p):
+        closed = tuple((2 * k + p - j) % (2 * p) for j in range(2 * p))
+        assert g.reflection_perm(k) == closed == table[k]
+    for bad in (-1, g.n_pos):
+        with pytest.raises(IndexError):
+            g.reflection_perm(bad)
+
+
+def _held_bytes(build):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        kept = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, held
+
+
+def test_many_dihedral_builds_hold_under_two_megabytes():
+    # the model cache is bounded and keeps only simple permutations
+    groups, held = _held_bytes(
+        lambda: [build_group(type_diagram("I", 2, p)).n_pos for p in range(3, 200)])
+    assert groups == list(range(3, 200))
+    assert held < 2_000_000, "I_2(3)..I_2(199) hold %d bytes" % held
+
+
+def test_large_dihedral_build_holds_under_a_megabyte():
+    g, held = _held_bytes(lambda: build_group(type_diagram("I", 2, 2000)))
+    assert held < 1_000_000, "I_2(2000) holds %d bytes" % held
+    assert g.n_pos == 2000 and g.length(g.w0) == 2000
