@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 a verification check failed, 2 usage or
-resource-budget error.  Every subcommand takes --json for machine output.
+resource-budget error.  The subcommands that print a verdict or a value
+take --json for machine output; the others print JSON or dot already.
 """
 
 from __future__ import annotations
@@ -49,18 +50,9 @@ def cmd_commute(args):
     return 0
 
 
-def cmd_subdivide(args):
-    sub = subdivision(_load_diagram(args.diagram), max_rank=args.max_rank)
-    if args.out == "dot":
-        print(sub.complex.to_dot("subdivision"))
-    else:
-        print(json.dumps(sub.to_json(), indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_h1(args):
     group = build_group(_load_diagram(args.group))
-    vec = h1_image(group, parse_word(args.word))
+    vec = h1_image(group, parse_word(args.word), args.budget)
     labels = reflection_labels(group, [r for r, _ in vec.coeffs])
     entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
     text = " ".join("%s:%d" % (k, v) for k, v in sorted(entries.items()))
@@ -163,10 +155,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--budget", type=int, default=None,
-                       help="letter budget override")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="letter budget override")
 
     p = sub.add_parser("nf", help="Garside normal form of a word")
     p.add_argument("--group", required=True)
@@ -181,13 +174,6 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_commute)
 
-    p = sub.add_parser("subdivide", help="partial barycentric subdivision")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--out", choices=("json", "dot"), default="json")
-    p.add_argument("--max-rank", type=int, default=12)
-    common(p)
-    p.set_defaults(func=cmd_subdivide)
-
     p = sub.add_parser("h1", help="abelianization class of a pure word")
     p.add_argument("--group", required=True)
     p.add_argument("--word", required=True)
@@ -196,15 +182,12 @@ def build_parser():
 
     p = sub.add_parser("fold", help="fold into a small-type diagram")
     p.add_argument("--diagram", required=True)
-    p.add_argument("--out", choices=("json",), default="json")
-    common(p)
     p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("curves", help="emit a curve system")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--out", choices=("json", "dot"), default="json")
-    common(p)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("pp-check", help="Property PP search on a word system")
@@ -212,7 +195,7 @@ def build_parser():
                    help="JSON file: vertices, edges, words")
     p.add_argument("--split", nargs=2, metavar=("L1", "L2"),
                    help="comma-separated vertex lists for the two parts")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_pp_check)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -227,7 +210,6 @@ def build_parser():
     p.add_argument("--diagram", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--max-rank", type=int, default=12)
-    common(p)
     p.set_defaults(func=cmd_export)
     return parser
 

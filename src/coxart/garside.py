@@ -33,6 +33,14 @@ def letter_budget(override=None):
     return int(os.environ.get(_BUDGET_ENV, DEFAULT_LETTER_BUDGET))
 
 
+def check_budget(layer, letters, budget):
+    """Raise BudgetExceeded before `layer` reads a word of more letters than
+    the budget."""
+    if letters > budget:
+        raise BudgetExceeded("%s: word of %d letters exceeds the letter budget %d"
+                             % (layer, letters, budget))
+
+
 # -- Artin words -------------------------------------------------------------
 
 def parse_word(text):
@@ -113,6 +121,10 @@ class ArtinEngine(object):
         w = self.w
         return w.compose(w.w0, w.compose(u, w.w0))
 
+    def check_letters(self, letters):
+        """Raise BudgetExceeded unless a word of this many letters fits."""
+        check_budget("garside normal form", letters, self.budget)
+
     def tau_generator(self, g):
         return self._tau_gen[g]
 
@@ -159,12 +171,7 @@ class _NFState(object):
     def push_word(self, word):
         eng = self.engine
         w = eng.w
-        letters = word_length(word)
-        if letters > eng.budget:
-            raise BudgetExceeded(
-                "garside normal form: word of %d letters exceeds the letter "
-                "budget %d" % (letters, eng.budget)
-            )
+        eng.check_letters(word_length(word))
         n = w.n_pos
         run, sign = w.identity, 0
         for g, e in word:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import DiagramError, type_diagram
+from .garside import check_budget, letter_budget, word_length
 from .wgroup import build_group
 
 
@@ -56,15 +57,17 @@ def is_pure(group, word):
     return projection(group, word) == group.identity
 
 
-def h1_image(group, word):
+def h1_image(group, word, budget=None):
     """Class of a pure Artin word in H_1 of the pure Artin group.
 
     Walks the word letter by letter; the letter x_s^(+-1) after a prefix
     mapping to w crosses the hyperplane of the reflection w s w^-1, i.e.
     the one keyed by the positive root w(alpha_s).  Every hyperplane is
     crossed an even number of times for a pure word, and the class is
-    half of the accumulated signed count.
+    half of the accumulated signed count.  A word of more letters than the
+    letter budget raises BudgetExceeded before the walk.
     """
+    check_budget("h1 image", word_length(word), letter_budget(budget))
     if not is_pure(group, word):
         raise DiagramError("word is not pure")
     n = group.n_pos

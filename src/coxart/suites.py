@@ -1,33 +1,51 @@
 """Named verification suites: each check reproduces one of the concrete
-computations behind the theorems, exactly and deterministically."""
+computations behind the theorems, exactly and deterministically.
+
+A suite is a generator whose keyword parameters are its options; it yields
+(check id, check) pairs, and a check returns a detail string or raises.
+`run_suite` alone times, catches and records each check.
+"""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import permutations
 
-from .diagram import finite_type, parse_diagram, sort_key, type_diagram
-from .garside import (
-    ArtinEngine,
-    BudgetExceeded,
-    delta_power,
-    delta_word,
+from .curves import (
+    audit_system,
+    build_an,
+    build_dn,
+    e7_kernel_check,
+    lantern_check,
+    reference_choice,
+    to_word_system,
 )
-from .homology import (
-    h1_image,
-    independence_check,
-    longest_hyperplane_audit,
+from .diagram import (
+    finite_type,
+    irreducible_components,
+    parse_diagram,
+    sort_key,
+    type_diagram,
 )
-from .nerve import nested_or_commuting, subdivision, subset_name
+from .folding import build_folded, component_report, f_word, fold_images, psi_word
+from .garside import ArtinEngine, BudgetExceeded, check_budget, delta_power, delta_word
+from .homology import h1_image, independence_check, longest_hyperplane_audit
+from .nerve import complex_on_subsets, nested_or_commuting, subdivision, subset_name
 from .raag import (
     FlagComplex,
+    RaagError,
     WordSystem,
     avoidance_check,
     ChoiceMap,
     enumerate_reduced_words,
     generalized_pp_check,
     pp_search,
+    pp_search_all,
     raag_commutator,
     raag_inverse,
     raag_is_trivial,
@@ -82,46 +100,19 @@ class SuiteResult:
         }
 
     def to_text(self):
-        lines = []
-        for c in self.checks:
-            lines.append(
-                "[%s] %-7s %s%s"
-                % (
-                    self.suite,
-                    c.status.upper(),
-                    c.id,
-                    (" -- " + c.detail) if c.detail else "",
-                )
-            )
-        lines.append(
-            "[%s] %s (%d checks)"
-            % (self.suite, "OK" if self.ok else "FAILED", len(self.checks))
-        )
+        lines = ["[%s] %-7s %s%s" % (self.suite, c.status.upper(), c.id,
+                                     " -- " + c.detail if c.detail else "")
+                 for c in self.checks]
+        lines.append("[%s] %s (%d checks)"
+                     % (self.suite, "OK" if self.ok else "FAILED", len(self.checks)))
         return "\n".join(lines)
 
 
-class _Recorder:
-    def __init__(self, suite):
-        self.result = SuiteResult(suite)
-
-    def run(self, check_id, fn):
-        t0 = time.monotonic()
-        try:
-            detail = fn()
-            status = "pass"
-            detail = detail or ""
-        except BudgetExceeded as exc:
-            status = "skipped"
-            detail = str(exc)
-        except AssertionError as exc:
-            status = "fail"
-            detail = str(exc)
-        except Exception as exc:  # a crashed check is a failed check
-            status = "fail"
-            detail = "%s: %s" % (type(exc).__name__, exc)
-        self.result.checks.append(
-            CheckResult(check_id, status, time.monotonic() - t0, detail)
-        )
+def _lazy(build, *args):
+    """A zero-argument function returning build(*args), built on its first
+    call.  A build that raises is tried again on the next call, so it fails
+    every check that needs it."""
+    return functools.cache(partial(build, *args))
 
 
 def _int_option(key, value, least):
@@ -133,90 +124,93 @@ def _int_option(key, value, least):
     return value
 
 
-def _budget(config):
+def _budget(budget):
     """The letter budget option: absent (the engine default) or an integer >= 1."""
-    budget = config.get("budget")
     return None if budget is None else _int_option("budget", budget, 1)
+
+
+def _tag(fam, n, p):
+    return "%s%d%s" % (fam, n, "(%d)" % p if p else "")
 
 
 def _alternating(a, b, m):
     return [((a, b)[i % 2], 1) for i in range(m)]
 
 
-def _engines_for(types):
-    for fam, n, p in types:
-        diagram = type_diagram(fam, n, p)
-        tag = fam + str(n) + (("(%d)" % p) if p else "")
-        yield tag, diagram, ArtinEngine(build_group(diagram))
+def _engine(fam, n, p=None):
+    return ArtinEngine(build_group(type_diagram(fam, n, p)))
 
 
 # -- garside-core --------------------------------------------------------
 
-def suite_garside_core(config=None):
-    rec = _Recorder("garside-core")
+def suite_garside_core():
     extra = (("D", 5, None), ("D", 6, None), ("A", 7, None))
-    for tag, diagram, eng in _engines_for(RANK4_TYPES + extra):
-        group = eng.w
+    for fam, n, p in RANK4_TYPES + extra:
+        tag = _tag(fam, n, p)
+        engine = _lazy(_engine, fam, n, p)
+        yield "delta-sq-coxeter-%s" % tag, partial(_delta_sq_coxeter, engine)
+        yield "delta-sq-central-%s" % tag, partial(_delta_sq_central, engine)
+        yield "delta-conjugation-permutes-%s" % tag, partial(_delta_tau, engine)
 
-        def check_delta_sq(eng=eng, group=group, diagram=diagram):
-            h = group.coxeter_number()
-            delta_sq = delta_word(diagram, diagram.vertices, 2)
-            nf = eng.normal_form(delta_sq)
-            seen = set()
-            from itertools import permutations
 
-            for ordering in permutations(group.gens):
-                c = group.word_to_element(ordering)
-                if c in seen:
-                    continue
-                seen.add(c)
-                word = [(g, 1) for g in ordering] * h
-                assert eng.normal_form(word) == nf, (
-                    "sigma(c)^h != Delta^2 for ordering %s" % (ordering,)
-                )
-            return "%d distinct Coxeter elements, h=%d" % (len(seen), h)
+def _delta_sq_coxeter(engine):
+    eng = engine()
+    group = eng.w
+    diagram = group.diagram
+    h = group.coxeter_number()
+    nf = eng.normal_form(delta_word(diagram, diagram.vertices, 2))
+    seen = set()
+    for ordering in permutations(group.gens):
+        c = group.word_to_element(ordering)
+        if c in seen:
+            continue
+        seen.add(c)
+        word = [(g, 1) for g in ordering] * h
+        assert eng.normal_form(word) == nf, (
+            "sigma(c)^h != Delta^2 for ordering %s" % (ordering,)
+        )
+    return "%d distinct Coxeter elements, h=%d" % (len(seen), h)
 
-        def check_central(eng=eng, diagram=diagram):
-            delta_sq = delta_word(diagram, diagram.vertices, 2)
-            for g in diagram.vertices:
-                assert eng.commutes(delta_sq, [(g, 1)]), (
-                    "Delta^2 does not commute with %s" % g
-                )
 
-        def check_tau(eng=eng, diagram=diagram):
-            for g in diagram.vertices:
-                image = eng.tau_generator(g)
-                assert image in diagram.vertices
-                # word level: Delta^-1 x_g Delta = x_tau(g)
-                delta = delta_word(diagram, diagram.vertices, 1)
-                lhs = raag_inverse(delta) + [(g, 1)] + delta
-                assert eng.equals(lhs, [(image, 1)])
+def _delta_sq_central(engine):
+    eng = engine()
+    diagram = eng.w.diagram
+    delta_sq = delta_word(diagram, diagram.vertices, 2)
+    for g in diagram.vertices:
+        assert eng.commutes(delta_sq, [(g, 1)]), (
+            "Delta^2 does not commute with %s" % g
+        )
 
-        rec.run("delta-sq-coxeter-%s" % tag, check_delta_sq)
-        rec.run("delta-sq-central-%s" % tag, check_central)
-        rec.run("delta-conjugation-permutes-%s" % tag, check_tau)
-    return rec.result
+
+def _delta_tau(engine):
+    eng = engine()
+    diagram = eng.w.diagram
+    delta = delta_word(diagram, diagram.vertices, 1)
+    for g in diagram.vertices:
+        image = eng.tau_generator(g)
+        assert image in diagram.vertices
+        # word level: Delta^-1 x_g Delta = x_tau(g)
+        lhs = raag_inverse(delta) + [(g, 1)] + delta
+        assert eng.equals(lhs, [(image, 1)])
 
 
 # -- tits-classic ---------------------------------------------------------
 
-def suite_tits_classic(config=None):
-    rec = _Recorder("tits-classic")
+def suite_tits_classic():
     for m in (3, 4, 5):
-        def check(m=m):
-            eng = ArtinEngine(build_group(type_diagram("I", 2, m)))
-            s, t = eng.w.gens
-            assert not eng.commutes([(s, 2)], [(t, 2)]), (
-                "[s^2,t^2] = 1 in I_2(%d)" % m
-            )
-        rec.run("squares-free-I2(%d)" % m, check)
+        yield "squares-free-I2(%d)" % m, partial(_squares_free, m)
+    yield "squares-commute-A3-ends", _squares_commute_far
 
-    def check_far():
-        diagram = type_diagram("A", 3)
-        eng = ArtinEngine(build_group(diagram))
-        assert eng.commutes([("s1", 2)], [("s3", 2)]), "[s^2,u^2] != 1 with m=2"
-    rec.run("squares-commute-A3-ends", check_far)
-    return rec.result
+
+def _squares_free(m):
+    eng = _engine("I", 2, m)
+    s, t = eng.w.gens
+    assert not eng.commutes([(s, 2)], [(t, 2)]), "[s^2,t^2] = 1 in I_2(%d)" % m
+
+
+def _squares_commute_far():
+    eng = _engine("A", 3)
+    assert eng.commutes([("s1", 2)], [("s3", 2)]), "[s^2,u^2] != 1 with m=2"
 
 
 # -- dihedral-audit (word identities, hyperplane audit, h1 lemma) ----------
@@ -230,182 +224,164 @@ def dihedral_identity_words(n):
     return pos, pos_sym
 
 
-def suite_dihedral_audit(config=None):
-    rec = _Recorder("dihedral-audit")
-    a2 = parse_diagram("vertex s; vertex t; edge s t 3")
-    eng = ArtinEngine(build_group(a2))
-
+def suite_dihedral_audit():
+    a2 = _lazy(lambda: ArtinEngine(build_group(
+        parse_diagram("vertex s; vertex t; edge s t 3"))))
     for n in (1, 2, 3):
-        def check_identity(n=n):
-            delta_2n = delta_word(a2, a2.vertices, 2 * n)
-            pos, pos_sym = dihedral_identity_words(n)
-            assert eng.equals(delta_2n, pos), "Delta^{2n} identity fails"
-            assert eng.equals(delta_2n, pos_sym), "tau-symmetric identity fails"
-            neg = raag_inverse(pos)
-            neg_expected = delta_word(a2, a2.vertices, -2 * n)
-            assert eng.equals(neg_expected, neg), "Delta^{-2n} identity fails"
-        rec.run("delta-power-identity-n%d" % n, check_identity)
-
+        yield "delta-power-identity-n%d" % n, partial(_delta_power_identity, a2, n)
     for m in (3, 4, 5):
-        def check_audit(m=m):
-            report = longest_hyperplane_audit(m, exponent_bound=3)
-            assert report.ok, "violations: %s" % report.failures[:1]
-            return "%d pure words among %d scanned" % (
-                report.pure_words, report.words_scanned
-            )
-        rec.run("longest-hyperplane-m%d" % m, check_audit)
-
+        yield "longest-hyperplane-m%d" % m, partial(_longest_hyperplane, m)
     for fam, n, p in RANK4_TYPES:
-        def check_h1(fam=fam, n=n, p=p):
-            diagram = type_diagram(fam, n, p)
-            group = build_group(diagram)
-            vec = h1_image(group, delta_word(diagram, diagram.vertices, 2))
-            expected = {r: 1 for r in range(group.n_pos)}
-            assert vec.as_dict() == expected, "h1(Delta^2) != sum of e_r"
-        rec.run("h1-delta-sq-%s%d%s" % (fam, n, "(%d)" % p if p else ""), check_h1)
-
-    def check_h1_subsets():
-        # proper irreducible spherical subsets inside larger groups
-        for fam, n in (("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 4)):
-            diagram = type_diagram(fam, n)
-            group = build_group(diagram)
-            sub = subdivision(diagram)
-            for name, subset in sub.vertex_subsets.items():
-                word = delta_word(diagram, subset, 2)
-                vec = h1_image(group, word)
-                wt = group.word_to_element(
-                    [g for g, _ in delta_word(diagram, subset, 1)]
-                )
-                expected = {
-                    r: 1 for r in range(group.n_pos) if wt[r] >= group.n_pos
-                }
-                assert vec.as_dict() == expected, (
-                    "h1(Delta_T^2) wrong for T=%s in %s%d" % (name, fam, n)
-                )
-    rec.run("h1-delta-sq-parabolic", check_h1_subsets)
-
+        yield "h1-delta-sq-%s" % _tag(fam, n, p), partial(_h1_delta_sq, fam, n, p)
+    yield "h1-delta-sq-parabolic", _h1_delta_sq_parabolic
     for fam, n in (("A", 3), ("B", 3)):
-        def check_indep(fam=fam, n=n):
-            diagram = type_diagram(fam, n)
-            group = build_group(diagram)
-            sub = subdivision(diagram)
-            cliques = [c for c in sub.complex.cliques() if len(c) >= 2]
-            for clique in cliques:
-                words = [
-                    delta_word(diagram, sub.vertex_subsets[v], 2) for v in clique
-                ]
-                assert independence_check(group, words), (
-                    "h1 images of simplex %s are dependent" % sorted(clique)
-                )
-            return "%d simplices checked" % len(cliques)
-        rec.run("h1-simplex-independence-%s%d" % (fam, n), check_indep)
-    return rec.result
+        yield ("h1-simplex-independence-%s%d" % (fam, n),
+               partial(_h1_simplex_independence, fam, n))
+
+
+def _delta_power_identity(a2, n):
+    eng = a2()
+    diagram = eng.w.diagram
+    delta_2n = delta_word(diagram, diagram.vertices, 2 * n)
+    pos, pos_sym = dihedral_identity_words(n)
+    assert eng.equals(delta_2n, pos), "Delta^{2n} identity fails"
+    assert eng.equals(delta_2n, pos_sym), "tau-symmetric identity fails"
+    neg_expected = delta_word(diagram, diagram.vertices, -2 * n)
+    assert eng.equals(neg_expected, raag_inverse(pos)), "Delta^{-2n} identity fails"
+
+
+def _longest_hyperplane(m):
+    report = longest_hyperplane_audit(m, exponent_bound=3)
+    assert report.ok, "violations: %s" % report.failures[:1]
+    return "%d pure words among %d scanned" % (
+        report.pure_words, report.words_scanned
+    )
+
+
+def _h1_delta_sq(fam, n, p):
+    diagram = type_diagram(fam, n, p)
+    group = build_group(diagram)
+    vec = h1_image(group, delta_word(diagram, diagram.vertices, 2))
+    expected = {r: 1 for r in range(group.n_pos)}
+    assert vec.as_dict() == expected, "h1(Delta^2) != sum of e_r"
+
+
+def _h1_delta_sq_parabolic():
+    # proper irreducible spherical subsets inside larger groups
+    for fam, n in (("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 4)):
+        diagram = type_diagram(fam, n)
+        group = build_group(diagram)
+        sub = subdivision(diagram)
+        for name, subset in sub.vertex_subsets.items():
+            vec = h1_image(group, delta_word(diagram, subset, 2))
+            wt = group.word_to_element(
+                [g for g, _ in delta_word(diagram, subset, 1)]
+            )
+            expected = {
+                r: 1 for r in range(group.n_pos) if wt[r] >= group.n_pos
+            }
+            assert vec.as_dict() == expected, (
+                "h1(Delta_T^2) wrong for T=%s in %s%d" % (name, fam, n)
+            )
+
+
+def _h1_simplex_independence(fam, n):
+    diagram = type_diagram(fam, n)
+    group = build_group(diagram)
+    sub = subdivision(diagram)
+    cliques = [c for c in sub.complex.cliques() if len(c) >= 2]
+    for clique in cliques:
+        words = [delta_word(diagram, sub.vertex_subsets[v], 2) for v in clique]
+        assert independence_check(group, words), (
+            "h1 images of simplex %s are dependent" % sorted(clique)
+        )
+    return "%d simplices checked" % len(cliques)
 
 
 # -- pp-suite -------------------------------------------------------------
 
 def badpp_system(n=1):
     """Casals' words a^n, d^n, (bc)^n in F_2 x F_2."""
-    cx = FlagComplex.build(
-        "abcd", [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
-    )
+    return _abcd_system([("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")], n)
+
+
+def path_system():
+    """The words a, d, bc on the path a - b - c - d."""
+    return _abcd_system([("a", "b"), ("b", "c"), ("c", "d")], 1)
+
+
+def _abcd_system(edges, n):
     words = {
         frozenset("a"): [("a", n)],
         frozenset("d"): [("d", n)],
         frozenset(("b", "c")): [("b", n), ("c", n)],
     }
-    return WordSystem(cx, words)
+    return WordSystem(FlagComplex.build("abcd", edges), words)
 
 
-def path_system():
-    cx = FlagComplex.build(
-        "abcd", [("a", "b"), ("b", "c"), ("c", "d")]
-    )
-    words = {
-        frozenset("a"): [("a", 1)],
-        frozenset("d"): [("d", 1)],
-        frozenset(("b", "c")): [("b", 1), ("c", 1)],
-    }
-    return WordSystem(cx, words)
+def suite_pp():
+    yield "braid4-subdivision-counts", _braid4_subdivision_counts
+    yield "badpp-example", partial(_badpp_example, 1)
+    yield "badpp-example-cubes", partial(_badpp_example, 3)
+    yield "path-generalized-pp", _path_generalized_pp
+    yield "badpp-no-split-certifies", _badpp_no_split_certifies
+    yield "avoidance-conditions", _avoidance_conditions
 
 
-def suite_pp(config=None):
-    rec = _Recorder("pp-suite")
-
-    def check_subdivision_counts():
-        d = parse_diagram("vertex s; vertex t; vertex u; edge s t 3; edge t u 3")
-        sub = subdivision(d)
-        v, e, t = len(sub.complex.vertices), len(sub.complex.edges), len(sub.triangles())
-        assert (v, e, t) == (6, 10, 5), "got %s" % ((v, e, t),)
-        return "6 vertices, 10 edges, 5 triangles"
-    rec.run("braid4-subdivision-counts", check_subdivision_counts)
-
-    def check_badpp():
-        system = badpp_system()
-        assert pp_search(system) is None, "PP should fail for a,d,bc"
-        cx = system.complex
-        u = [("b", 1), ("c", 1), ("d", 1), ("c", -1), ("b", -1)]
-        rel = raag_commutator([("a", 1)], u)
-        assert raag_is_trivial(cx, rel), "[a,(bc)d(bc)^-1] should be trivial"
-    rec.run("badpp-example", check_badpp)
-
-    def check_badpp_powers():
-        system = badpp_system(3)
-        cx = system.complex
-        u = [("b", 3), ("c", 3), ("d", 3), ("c", -3), ("b", -3)]
-        rel = raag_commutator([("a", 3)], u)
-        assert raag_is_trivial(cx, rel)
-    rec.run("badpp-example-cubes", check_badpp_powers)
-
-    def check_path_split():
-        system = path_system()
-        assert pp_search(system) is None, "PP should fail on the path"
-        verdict = generalized_pp_check(system, "abc", "bcd")
-        assert verdict.certified, verdict.reason
-        assert "free of rank 3" in verdict.conclusion, verdict.conclusion
-        return verdict.conclusion
-    rec.run("path-generalized-pp", check_path_split)
-
-    def check_badpp_no_split():
-        system = badpp_system()
-        splits = [
-            ("abc", "bcd"), ("abd", "acd"), ("abcd", "bc"),
-            ("ab", "abcd"), ("abcd", "abcd"),
-        ]
-        for l1, l2 in splits:
-            try:
-                verdict = generalized_pp_check(system, l1, l2)
-            except Exception:
-                continue
-            assert not verdict.certified, "split %s/%s should fail" % (l1, l2)
-    rec.run("badpp-no-split-certifies", check_badpp_no_split)
-
-    def check_avoidance_conditions():
-        # words stu and st on a 2-simplex avoid u only vacuously: condition 2
-        cx = FlagComplex.build("stu", [("s", "t"), ("t", "u"), ("s", "u")])
-        system = WordSystem(cx, {
-            frozenset("stu"): [("s", 1), ("t", 1), ("u", 1)],
-            frozenset(("s", "t")): [("s", 1), ("t", 1)],
-        })
-        cm = pp_search(system)
-        assert cm is not None
-        bad = all(
-            not avoidance_check(system, "u", c)
-            for c in _all_choices(system)
-        )
-        assert bad, "no choice should avoid {u}: condition 2 must fail"
-        # the motivating path example does avoid
-        psys = path_system().restricted(set("abc"))
-        cm2 = ChoiceMap({frozenset("a"): "a", frozenset(("b", "c")): "c"})
-        assert avoidance_check(psys, set("bc"), cm2)
-    rec.run("avoidance-conditions", check_avoidance_conditions)
-    return rec.result
+def _braid4_subdivision_counts():
+    d = parse_diagram("vertex s; vertex t; vertex u; edge s t 3; edge t u 3")
+    sub = subdivision(d)
+    v, e, t = len(sub.complex.vertices), len(sub.complex.edges), len(sub.triangles())
+    assert (v, e, t) == (6, 10, 5), "got %s" % ((v, e, t),)
+    return "6 vertices, 10 edges, 5 triangles"
 
 
-def _all_choices(system):
-    from .raag import pp_search_all
+def _badpp_example(n):
+    system = badpp_system(n)
+    assert pp_search(system) is None, "PP should fail for a,d,bc"
+    u = [("b", n), ("c", n), ("d", n), ("c", -n), ("b", -n)]
+    rel = raag_commutator([("a", n)], u)
+    assert raag_is_trivial(system.complex, rel), "[a,(bc)d(bc)^-1] should be trivial"
 
-    return list(pp_search_all(system))
+
+def _path_generalized_pp():
+    system = path_system()
+    assert pp_search(system) is None, "PP should fail on the path"
+    verdict = generalized_pp_check(system, "abc", "bcd")
+    assert verdict.certified, verdict.reason
+    assert "free of rank 3" in verdict.conclusion, verdict.conclusion
+    return verdict.conclusion
+
+
+def _badpp_no_split_certifies():
+    system = badpp_system()
+    splits = [
+        ("abc", "bcd"), ("abd", "acd"), ("abcd", "bc"),
+        ("ab", "abcd"), ("abcd", "abcd"),
+    ]
+    for l1, l2 in splits:
+        try:
+            verdict = generalized_pp_check(system, l1, l2)
+        except RaagError:
+            # abc/bcd and abd/acd are no splits: an edge lies in neither part
+            continue
+        assert not verdict.certified, "split %s/%s should fail" % (l1, l2)
+
+
+def _avoidance_conditions():
+    # words stu and st on a 2-simplex avoid u only vacuously: condition 2
+    cx = FlagComplex.build("stu", [("s", "t"), ("t", "u"), ("s", "u")])
+    system = WordSystem(cx, {
+        frozenset("stu"): [("s", 1), ("t", 1), ("u", 1)],
+        frozenset(("s", "t")): [("s", 1), ("t", 1)],
+    })
+    assert pp_search(system) is not None
+    bad = all(not avoidance_check(system, "u", c) for c in pp_search_all(system))
+    assert bad, "no choice should avoid {u}: condition 2 must fail"
+    # the motivating path example does avoid
+    psys = path_system().restricted(set("abc"))
+    cm2 = ChoiceMap({frozenset("a"): "a", frozenset(("b", "c")): "c"})
+    assert avoidance_check(psys, set("bc"), cm2)
 
 
 # -- curve suites ----------------------------------------------------------
@@ -428,8 +404,8 @@ def _an_lemma_checks(system):
                     assert any(system.intersects(c, d) for d in b2), (
                         "curve %s misses all of %s" % (c, subset_name(t2))
                     )
-                i1 = min(int(x[1:].split(":")[0]) for x in (b1[0],))
-                i2 = min(int(x[1:].split(":")[0]) for x in (b2[0],))
+                i1 = int(b1[0][1:].split(":")[0])
+                i2 = int(b2[0][1:].split(":")[0])
                 if i1 % 2 != i2 % 2:
                     for c in b1:
                         for d in b2:
@@ -438,29 +414,23 @@ def _an_lemma_checks(system):
                             )
 
 
-def suite_an_curves(config=None):
-    from .curves import audit_system, build_an, reference_choice, to_word_system
+def suite_an_curves(max_rank=7):
+    for n in range(2, _int_option("max_rank", max_rank, 2) + 1):
+        yield "an-system-n%d" % n, partial(_an_system, n)
 
-    rec = _Recorder("an-curves")
-    top = _int_option("max_rank", (config or {}).get("max_rank", 7), 2)
-    for n in range(2, top + 1):
-        def check(n=n):
-            system = build_an(n)
-            defects = audit_system(system)
-            assert not defects, defects[0]
-            _an_lemma_checks(system)
-            result = reference_choice(system)
-            assert result.kind == "choice"
-            found = pp_search(to_word_system(system))
-            assert found is not None
-            return "%d curves, stated choice verified" % len(system.curves)
-        rec.run("an-system-n%d" % n, check)
-    return rec.result
+
+def _an_system(n):
+    system = build_an(n)
+    defects = audit_system(system)
+    assert not defects, defects[0]
+    _an_lemma_checks(system)
+    assert reference_choice(system).kind == "choice"
+    assert pp_search(to_word_system(system)) is not None
+    return "%d curves, stated choice verified" % len(system.curves)
 
 
 def _dn_lemma_checks(system):
     n = system.rank
-    gens = system.diagram.vertices
     t = lambda i: "t%d" % i
     # item (1)/(2): the designated inner component of a family-(1) boundary
     for j in range(1, n - 1):
@@ -506,81 +476,71 @@ def _dn_lemma_checks(system):
 _DN_GLOBAL_PP_MAPS = {4: 3}
 
 
-def suite_dn_curves(config=None):
-    from .curves import audit_system, build_dn, reference_choice, to_word_system
-
-    rec = _Recorder("dn-curves")
-    ranks = (config or {}).get("ranks", (4, 5, 6, 7))
+def suite_dn_curves(ranks=(4, 5, 6, 7)):
     if not isinstance(ranks, (list, tuple)):
         raise ValueError("suite option 'ranks' must be a list of integers, "
                          "got %s" % json.dumps(ranks))
     for n in [_int_option("ranks", n, 4) for n in ranks]:
-        def check_system(n=n):
-            system = build_dn(n)
-            defects = audit_system(system)
-            assert not defects, defects[0]
-            _dn_lemma_checks(system)
-            return "%d curves audited" % len(system.curves)
-        rec.run("dn-system-n%d" % n, check_system)
-
-        def check_global_pp_holds(n=n):
-            ws = to_word_system(build_dn(n))
-            maps = _all_choices(ws)
-            expected = _DN_GLOBAL_PP_MAPS[n]
-            assert len(maps) == expected, (
-                "D_%d admits %d global PP choice maps, expected %d"
-                % (n, len(maps), expected)
-            )
-            for cm in maps:
-                defects = validate_choice(ws, cm)
-                assert not defects, defects[0]
-            return "%d global choice maps, each validated" % len(maps)
-
-        def check_global_pp_fails(n=n):
-            system = build_dn(n)
-            found = pp_search(to_word_system(system))
-            assert found is None, (
-                "global PP unexpectedly satisfiable for D_%d "
-                "(every intersection here is forced by the stated "
-                "disjointness constraints; see the noPP figure scale)" % n
-            )
+        system = _lazy(build_dn, n)
+        yield "dn-system-n%d" % n, partial(_dn_system, system)
         if n in _DN_GLOBAL_PP_MAPS:
-            rec.run("dn-global-pp-holds-n%d" % n, check_global_pp_holds)
+            yield "dn-global-pp-holds-n%d" % n, partial(_dn_global_pp_holds, system)
         else:
-            rec.run("dn-global-pp-fails-n%d" % n, check_global_pp_fails)
+            yield "dn-global-pp-fails-n%d" % n, partial(_dn_global_pp_fails, system)
+        yield "dn-split-certifies-n%d" % n, partial(_dn_split_certifies, system)
 
-        def check_split(n=n):
-            system = build_dn(n)
-            result = reference_choice(system)
-            assert result.kind == "split"
-            return result.verdict_reason
-        rec.run("dn-split-certifies-n%d" % n, check_split)
-    return rec.result
+
+def _dn_system(system):
+    system = system()
+    defects = audit_system(system)
+    assert not defects, defects[0]
+    _dn_lemma_checks(system)
+    return "%d curves audited" % len(system.curves)
+
+
+def _dn_global_pp_holds(system):
+    system = system()
+    ws = to_word_system(system)
+    maps = list(pp_search_all(ws))
+    expected = _DN_GLOBAL_PP_MAPS[system.rank]
+    assert len(maps) == expected, (
+        "D_%d admits %d global PP choice maps, expected %d"
+        % (system.rank, len(maps), expected)
+    )
+    for cm in maps:
+        defects = validate_choice(ws, cm)
+        assert not defects, defects[0]
+    return "%d global choice maps, each validated" % len(maps)
+
+
+def _dn_global_pp_fails(system):
+    system = system()
+    assert pp_search(to_word_system(system)) is None, (
+        "global PP unexpectedly satisfiable for D_%d "
+        "(every intersection here is forced by the stated "
+        "disjointness constraints; see the noPP figure scale)" % system.rank
+    )
+
+
+def _dn_split_certifies(system):
+    result = reference_choice(system())
+    assert result.kind == "split"
+    return result.verdict_reason
 
 
 # -- folding-suite ----------------------------------------------------------
 
-_FOLD_EXPECTED = {
-    "I2(3)": {"A_2"},
-    "I2(4)": {"A_3"},
-    "I2(5)": {"A_4"},
-    "I2(6)": {"A_5"},
-    "B3": {"D_4", "A_5"},
-    "H3": {"D_6"},
-    "F4": {"E_6"},
-    "H4": {"E_8"},
-}
-
-
-def _fold_cases():
-    yield "I2(3)", type_diagram("I", 2, 3)
-    yield "I2(4)", type_diagram("I", 2, 4)
-    yield "I2(5)", type_diagram("I", 2, 5)
-    yield "I2(6)", type_diagram("I", 2, 6)
-    yield "B3", type_diagram("B", 3)
-    yield "H3", type_diagram("H", 3)
-    yield "F4", type_diagram("F", 4)
-    yield "H4", type_diagram("H", 4)
+#: each folded source type with the tags of its target's components
+_FOLD_CASES = (
+    ("I", 2, 3, {"A_2"}),
+    ("I", 2, 4, {"A_3"}),
+    ("I", 2, 5, {"A_4"}),
+    ("I", 2, 6, {"A_5"}),
+    ("B", 3, None, {"D_4", "A_5"}),
+    ("H", 3, None, {"D_6"}),
+    ("F", 4, None, {"E_6"}),
+    ("H", 4, None, {"E_8"}),
+)
 
 
 def _restrict_to(vertices, word):
@@ -588,13 +548,11 @@ def _restrict_to(vertices, word):
     return [(g, e) for g, e in word if g in keep]
 
 
-def psi_preserves_relations(fold, budget=None):
-    """Check every defining braid relation lands on a Garside equality in
-    each component of the fold target.  Returns (checked, skipped, the
-    first over-budget message or None)."""
-    from .diagram import irreducible_components
-    from .folding import psi_word
-
+def _psi_relations(fold, budget):
+    """Every defining braid relation lands on a Garside equality in each
+    component of the fold target.  Relations over the letter budget are
+    counted, and skip the check if there are any."""
+    fold = fold()
     checked = skipped = 0
     first_skip = None
     comps = irreducible_components(fold.target)
@@ -609,9 +567,7 @@ def psi_preserves_relations(fold, budget=None):
                 continue
             key = frozenset(comp)
             if key not in engines:
-                engines[key] = ArtinEngine(
-                    build_group(fold.target, comp), budget
-                )
+                engines[key] = ArtinEngine(build_group(fold.target, comp), budget)
             try:
                 assert engines[key].equals(wl, wr), (
                     "relation %s%s broken in component %s"
@@ -621,16 +577,17 @@ def psi_preserves_relations(fold, budget=None):
             except BudgetExceeded as exc:
                 skipped += 1
                 first_skip = first_skip or str(exc)
-    return checked, skipped, first_skip
+    if skipped:
+        raise BudgetExceeded(
+            "%d relation checks skipped over budget: %s" % (skipped, first_skip)
+        )
+    return "%d per-component relation checks" % checked
 
 
 def f_preserves_reduced(fold, src, images, max_len=4):
     """F maps reduced words to reduced words and is injective on the sample.
 
     `src` is the source subdivision and `images` its `fold_images` map."""
-    from .folding import f_word
-    from .nerve import complex_on_subsets
-
     image_subsets = {c for image in images.values() for c in image.values()}
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
@@ -675,45 +632,33 @@ def raaginj_mechanics(fold, src, images):
                 )
 
 
-def suite_folding(config=None):
-    from .folding import build_folded, component_report, fold_images
+def suite_folding(budget=None, f_max_len=4):
+    budget = _budget(budget)
+    max_len = _int_option("f_max_len", f_max_len, 1)
+    for fam, n, p, expected in _FOLD_CASES:
+        tag = _tag(fam, n, p)
+        fold = _lazy(build_folded, type_diagram(fam, n, p))
+        yield "fold-components-%s" % tag, partial(_fold_components, fold, expected)
+        yield "psi-relations-%s" % tag, partial(_psi_relations, fold, budget)
+        yield "f-injective-%s" % tag, partial(_f_injective, fold, max_len)
 
-    rec = _Recorder("folding-suite")
-    budget = _budget(config or {})
-    max_len = _int_option("f_max_len", (config or {}).get("f_max_len", 4), 1)
-    for tag, diagram in _fold_cases():
-        def check_components(tag=tag, diagram=diagram):
-            fold = build_folded(diagram)
-            reports = component_report(fold)
-            tags = {r.tag for r in reports}
-            assert tags == _FOLD_EXPECTED[tag], (
-                "components %s, expected %s" % (tags, _FOLD_EXPECTED[tag])
-            )
-            hs = {r.coxeter_number for r in reports}
-            assert len(hs) == 1
-            return "components %s, h=%d" % (sorted(tags), hs.pop())
-        rec.run("fold-components-%s" % tag, check_components)
 
-        def check_psi(tag=tag, diagram=diagram):
-            fold = build_folded(diagram)
-            checked, skipped, first_skip = psi_preserves_relations(fold, budget)
-            if skipped:
-                raise BudgetExceeded(
-                    "%d relation checks skipped over budget: %s"
-                    % (skipped, first_skip)
-                )
-            return "%d per-component relation checks" % checked
-        rec.run("psi-relations-%s" % tag, check_psi)
+def _fold_components(fold, expected):
+    reports = component_report(fold())
+    tags = {r.tag for r in reports}
+    assert tags == expected, "components %s, expected %s" % (tags, expected)
+    hs = {r.coxeter_number for r in reports}
+    assert len(hs) == 1
+    return "components %s, h=%d" % (sorted(tags), hs.pop())
 
-        def check_f(tag=tag, diagram=diagram):
-            fold = build_folded(diagram)
-            src = subdivision(fold.source)
-            images = fold_images(fold, src.vertex_subsets)
-            count = f_preserves_reduced(fold, src, images, max_len)
-            raaginj_mechanics(fold, src, images)
-            return "%d reduced words mapped" % count
-        rec.run("f-injective-%s" % tag, check_f)
-    return rec.result
+
+def _f_injective(fold, max_len):
+    fold = fold()
+    src = subdivision(fold.source)
+    images = fold_images(fold, src.vertex_subsets)
+    count = f_preserves_reduced(fold, src, images, max_len)
+    raaginj_mechanics(fold, src, images)
+    return "%d reduced words mapped" % count
 
 
 # -- gtc-bounded -----------------------------------------------------------
@@ -724,6 +669,15 @@ def gtc_bounded_check(diagram, n_power, max_len, budget=None):
     sub = subdivision(diagram)
     group = build_group(diagram)
     eng = ArtinEngine(group, budget)
+    # Delta_T^(2N) has 2N letters per reflection of T.  The budget is met
+    # before any image is expanded: the commuting-pair checks hand two
+    # images at a time to the engine, and the h1 certificate walks each one.
+    letters = {name: 2 * n_power * len(delta_word(diagram, subset))
+               for name, subset in sub.vertex_subsets.items()}
+    for a, b in sub.complex.edge_pairs():
+        eng.check_letters(letters[a] + letters[b])
+    for count in letters.values():
+        check_budget("h1 image", count, eng.budget)
     images = {
         name: delta_power(diagram, subset, 2 * n_power)
         for name, subset in sub.vertex_subsets.items()
@@ -731,7 +685,7 @@ def gtc_bounded_check(diagram, n_power, max_len, budget=None):
     # generator images are pure with independent abelianization classes,
     # so only exponent-sum-zero words need the Garside engine
     h1_ok = independence_check(group, list(images.values()))
-    report = verify_injectivity_bounded(
+    return verify_injectivity_bounded(
         sub.complex,
         images,
         eng.is_trivial,
@@ -739,100 +693,86 @@ def gtc_bounded_check(diagram, n_power, max_len, budget=None):
         commute_check=eng.commutes,
         abelian_certificate=h1_ok,
     )
-    return report
 
 
-def suite_gtc_bounded(config=None):
-    rec = _Recorder("gtc-bounded")
-    config = config or {}
-    budget = _budget(config)
-    if "type" in config:
-        if not isinstance(config["type"], str):
-            raise ValueError("suite option 'type' must be a diagram string, "
-                             "got %s" % json.dumps(config["type"]))
-        # a malformed or non-spherical diagram is a usage error
-        if not finite_type(parse_diagram(config["type"])).is_spherical:
-            raise ValueError("gtc-bounded needs a spherical diagram, got %s"
-                             % json.dumps(config["type"]))
-        cases = [(config["type"], _int_option("N", config.get("N", 1), 1),
-                  _int_option("max_len", config.get("max_len", 6), 1))]
+#: the cases run when no 'type' is given: diagram, N, max_len
+_GTC_CASES = (
+    ("type I 2 4", 1, 6),
+    ("type I 2 5", 1, 6),
+    ("type A 2", 2, 6),
+    ("type A 3", 2, 6),
+)
+
+
+def suite_gtc_bounded(type=None, N=None, max_len=None, budget=None):
+    """The default cases, or the one case `type` with N (default 1) and
+    max_len (default 6)."""
+    budget = _budget(budget)
+    if type is None:
+        given = [key for key, value in (("N", N), ("max_len", max_len))
+                 if value is not None]
+        if given:
+            raise ValueError("suite option %r is read only with 'type'" % given[0])
+        cases = _GTC_CASES
     else:
-        unread = sorted({"N", "max_len"} & config.keys())
-        if unread:
-            raise ValueError("suite option %r is read only with 'type'" % unread[0])
-        cases = [
-            ("type I 2 4", 1, 6),
-            ("type I 2 5", 1, 6),
-            ("type A 2", 2, 6),
-            ("type A 3", 2, 6),
-        ]
+        if not isinstance(type, str):
+            raise ValueError("suite option 'type' must be a diagram string, "
+                             "got %s" % json.dumps(type))
+        # a malformed or non-spherical diagram is a usage error
+        if not finite_type(parse_diagram(type)).is_spherical:
+            raise ValueError("gtc-bounded needs a spherical diagram, got %s"
+                             % json.dumps(type))
+        cases = [(type, _int_option("N", 1 if N is None else N, 1),
+                  _int_option("max_len", 6 if max_len is None else max_len, 1))]
     for spec, n_power, max_len in cases:
-        def check(spec=spec, n_power=n_power, max_len=max_len):
-            diagram = parse_diagram(spec)
-            report = gtc_bounded_check(diagram, n_power, max_len, budget)
-            assert report.ok, "%s (word %s)" % (report.detail, report.violation)
-            return "%d words, %d through the Garside engine" % (
-                report.words_checked, report.slow_path_checked
-            )
-        rec.run(
-            "gtc-%s-N%d-len%d" % (spec.replace(" ", ""), n_power, max_len),
-            check,
-        )
-    return rec.result
+        yield ("gtc-%s-N%d-len%d" % (spec.replace(" ", ""), n_power, max_len),
+               partial(_gtc_case, spec, n_power, max_len, budget))
+
+
+def _gtc_case(spec, n_power, max_len, budget):
+    report = gtc_bounded_check(parse_diagram(spec), n_power, max_len, budget)
+    assert report.ok, "%s (word %s)" % (report.detail, report.violation)
+    return "%d words, %d through the Garside engine" % (
+        report.words_checked, report.slow_path_checked
+    )
 
 
 # -- e7-kernel and lantern ---------------------------------------------------
 
-def suite_e7_kernel(config=None):
-    from .curves import e7_kernel_check
-
-    rec = _Recorder("e7-kernel")
-    power = _int_option("power", (config or {}).get("power", 1), 1)
-    state = {}
-
-    def leg(name, key):
-        def run():
-            if not state:
-                state["report"] = e7_kernel_check(power)
-            report = state["report"]
-            assert getattr(report, key), report.detail
-            return json.dumps(report.detail) if key == "artin_nontrivial" else ""
-        return run
-
-    rec.run("raag-commutator-nontrivial", leg("raag", "raag_nontrivial"))
-    rec.run("artin-commutator-nontrivial", leg("artin", "artin_nontrivial"))
-    rec.run("curve-raag-commutator-trivial", leg("curve", "curve_raag_trivial"))
-    return rec.result
+def suite_e7_kernel(power=1):
+    report = _lazy(e7_kernel_check, _int_option("power", power, 1))
+    yield "raag-commutator-nontrivial", partial(_e7_leg, report, "raag_nontrivial")
+    yield "artin-commutator-nontrivial", partial(_e7_leg, report, "artin_nontrivial")
+    yield "curve-raag-commutator-trivial", partial(_e7_leg, report, "curve_raag_trivial")
 
 
-def suite_lantern(config=None):
-    from .curves import lantern_check
+def _e7_leg(report, key):
+    report = report()
+    assert getattr(report, key), report.detail
+    return json.dumps(report.detail) if key == "artin_nontrivial" else ""
 
-    rec = _Recorder("lantern")
-    state = {}
 
-    def get():
-        if not state:
-            state["report"] = lantern_check()
-        return state["report"]
+def suite_lantern():
+    report = _lazy(lantern_check)
+    yield "artin-twists-commute", partial(_lantern_artin, report)
+    yield "raag-words-do-not-commute", partial(_lantern_raag, report)
+    yield "retraction-to-F2-separates", partial(_lantern_retraction, report)
 
-    def check_artin():
-        assert get().artin_commute, "lantern twists must commute in the Artin group"
 
-    def check_raag():
-        assert not get().raag_commute, "z-words must not commute in RA"
+def _lantern_artin(report):
+    assert report().artin_commute, "lantern twists must commute in the Artin group"
 
-    def check_retraction():
-        r = get()
-        red, blue = r.retraction_pair
-        assert red != blue and red and blue
-        assert not r.detail["retraction_images_commute"]
-        return "images %s vs %s" % (red, blue)
 
-    rec.run("artin-twists-commute", check_artin)
-    rec.run("raag-words-do-not-commute", check_raag)
-    rec.run("retraction-to-F2-separates", check_retraction)
-    return rec.result
+def _lantern_raag(report):
+    assert not report().raag_commute, "z-words must not commute in RA"
+
+
+def _lantern_retraction(report):
+    r = report()
+    red, blue = r.retraction_pair
+    assert red != blue and red and blue
+    assert not r.detail["retraction_images_commute"]
+    return "images %s vs %s" % (red, blue)
 
 
 _SUITE_FUNCS = {
@@ -850,20 +790,29 @@ _SUITE_FUNCS = {
 
 SUITES = tuple(_SUITE_FUNCS)
 
-#: the config keys each suite reads; any other key is a usage error
-_OPTIONS = {
-    "gtc-bounded": ("type", "N", "max_len", "budget"),
-    "an-curves": ("max_rank",),
-    "dn-curves": ("ranks",),
-    "folding-suite": ("budget", "f_max_len"),
-    "e7-kernel": ("power",),
-}
-
 
 def run_suite(name, config=None):
+    """Run a suite's checks in order.  The config keys are the suite
+    function's keyword parameters; any other key is a usage error."""
     if name not in _SUITE_FUNCS:
         raise KeyError("unknown suite %r (choose from %s)" % (name, SUITES))
-    unread = sorted(set(config or ()) - set(_OPTIONS.get(name, ())))
+    suite = _SUITE_FUNCS[name]
+    config = config or {}
+    unread = sorted(set(config) - set(inspect.signature(suite).parameters))
     if unread:
         raise ValueError("suite %s reads no option %r" % (name, unread[0]))
-    return _SUITE_FUNCS[name](config)
+    result = SuiteResult(name)
+    for check_id, check in suite(**config):
+        t0 = time.monotonic()
+        try:
+            status, detail = "pass", check() or ""
+        except BudgetExceeded as exc:
+            status, detail = "skipped", str(exc)
+        except AssertionError as exc:
+            status, detail = "fail", str(exc)
+        except Exception as exc:  # a crashed check is a failed check
+            status, detail = "fail", "%s: %s" % (type(exc).__name__, exc)
+        result.checks.append(
+            CheckResult(check_id, status, time.monotonic() - t0, detail)
+        )
+    return result

@@ -65,8 +65,9 @@ def test_h1_labels_of_delta_square_match_pinned_digest(capsys, tag):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_subdivide_dot(capsys):
-    code, out, _ = run(capsys, "subdivide", "--out", "dot", "--diagram",
+def test_export_subdivision_dot(capsys):
+    code, out, _ = run(capsys, "export", "--what", "subdivision", "--format",
+                       "dot", "--diagram",
                        "vertex s; vertex t; vertex u; edge s t 3; edge t u 3")
     assert code == 0
     assert out.count("--") == 10
@@ -187,16 +188,14 @@ def test_verify_with_config(capsys):
 
 def test_failing_suite_exits_one(capsys, monkeypatch):
     # every shipped suite passes, so route one name to a suite whose single
-    # check fails through the ordinary recorder
+    # check fails through the ordinary runner
     from coxart import suites
 
-    def failing_suite(config=None):
-        rec = suites._Recorder("tits-classic")
+    def check():
+        raise AssertionError("deliberate failure")
 
-        def check():
-            raise AssertionError("deliberate failure")
-        rec.run("always-fails", check)
-        return rec.result
+    def failing_suite():
+        yield "always-fails", check
 
     monkeypatch.setitem(suites._SUITE_FUNCS, "tits-classic", failing_suite)
     code, out, _ = run(capsys, "verify", "tits-classic")
@@ -258,3 +257,74 @@ def test_error_messages_do_not_depend_on_hash_seed(tmp_path):
                 [sys.executable, "-m", "coxart.cli", "pp-check"] + argv,
                 capture_output=True, text=True, env=env)
             assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
+def test_h1_budget_is_met_before_the_walk(capsys):
+    # 4M letters against a budget of 10 are refused before the walk starts
+    code, out, err = run(capsys, "h1", "--group", "type A 2", "--word",
+                         "s1^2000000 s1^-2000000", "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == ("resource budget exceeded: h1 image: word of 4000000 "
+                   "letters exceeds the letter budget 10\n")
+
+
+@pytest.mark.parametrize("suite, builder, checks", [
+    ("dn-curves", "build_dn", 12),
+    ("folding-suite", "build_folded", 24),
+])
+def test_planted_build_failure_fails_each_dependent_check(
+        capsys, monkeypatch, suite, builder, checks):
+    from coxart import suites
+
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError("planted build failure")
+
+    monkeypatch.setattr(suites, builder, broken)
+    code, out, err = run(capsys, "verify", suite, "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert [c["status"] for c in doc["checks"]] == ["fail"] * checks
+    assert {c["detail"] for c in doc["checks"]} == {
+        "RuntimeError: planted build failure"}
+    # a failed build is not kept: each dependent check tries it again
+    assert len(calls) == checks
+    code, out, err = run(capsys, "verify", suite)
+    assert code == 1 and err == "" and "Traceback" not in out
+    assert out.splitlines()[-1] == "[%s] FAILED (%d checks)" % (suite, checks)
+
+
+@pytest.mark.parametrize("suite, config, builder, builds", [
+    ("dn-curves", {"ranks": [4, 5]}, "build_dn", 2),
+    ("folding-suite", {"f_max_len": 1}, "build_folded", 8),
+    ("lantern", None, "lantern_check", 1),
+])
+def test_each_shared_value_is_built_once_per_run(
+        monkeypatch, suite, config, builder, builds):
+    from coxart import suites
+
+    original = getattr(suites, builder)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(suites, builder, counted)
+    assert suites.run_suite(suite, config).ok
+    assert len(calls) == builds
+
+
+def test_badpp_no_split_fails_on_an_unexpected_error(monkeypatch):
+    # only RaagError marks a split as impossible; any other error is a fault
+    from coxart import suites
+
+    def broken(system, l1, l2):
+        raise TypeError("planted fault")
+
+    monkeypatch.setattr(suites, "generalized_pp_check", broken)
+    checks = {c.id: c for c in suites.run_suite("pp-suite").checks}
+    check = checks["badpp-no-split-certifies"]
+    assert (check.status, check.detail) == ("fail", "TypeError: planted fault")

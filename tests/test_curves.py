@@ -355,6 +355,28 @@ def test_gtc_bounded_budget_marks_skipped():
     assert "garside" in check.detail and "letter budget 3" in check.detail
 
 
+@pytest.mark.parametrize("spec, detail", [
+    # every image is handed to the engine with a commuting partner
+    ("type A 2", "garside normal form: word of 8000000 letters exceeds the "
+                 "letter budget 10"),
+    # a lone vertex has no partner; only the h1 certificate would walk it
+    ("type A 1", "h1 image: word of 2000000 letters exceeds the letter "
+                 "budget 10"),
+])
+def test_gtc_bounded_budget_is_met_before_the_images_are_built(
+        monkeypatch, spec, detail):
+    from coxart import suites
+
+    def expanded(*args):
+        raise AssertionError("an image was expanded")
+
+    monkeypatch.setattr(suites, "delta_power", expanded)
+    result = suites.run_suite("gtc-bounded", {"type": spec, "N": 10 ** 6,
+                                              "max_len": 1, "budget": 10})
+    [check] = result.checks
+    assert (check.status, check.detail) == ("skipped", detail)
+
+
 def test_e7_kernel_word_lives_on_a_path():
     # the four letters span the path T - s - V - U of the E_7 subdivision,
     # and the kernel word is already nontrivial in the RAAG of that path

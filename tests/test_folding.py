@@ -117,9 +117,10 @@ def test_fold_images_are_preimage_components():
     # oracle: networkx components of each preimage, read off the target's
     # labels without irreducible_components
     nx = pytest.importorskip("networkx")
-    from coxart.suites import _fold_cases
+    from coxart.suites import _FOLD_CASES
 
-    for tag, source in _fold_cases():
+    for fam, n, p, _ in _FOLD_CASES:
+        tag, source = (fam, n, p), type_diagram(fam, n, p)
         fold = build_folded(source)
         sub = subdivision(source)
         images = fold_images(fold, sub.vertex_subsets)
