@@ -145,6 +145,17 @@ def cmd_export(args):
     return 0
 
 
+def _budget(text):
+    """The --budget flag: an integer >= 1, else a usage error naming it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxart",
@@ -158,7 +169,7 @@ def build_parser():
     def common(p, budget=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_budget, default=None,
                            help="letter budget override")
 
     p = sub.add_parser("nf", help="Garside normal form of a word")

@@ -14,7 +14,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations
 
 from .curves import (
     audit_system,
@@ -159,17 +158,32 @@ def _delta_sq_coxeter(engine):
     diagram = group.diagram
     h = group.coxeter_number()
     nf = eng.normal_form(delta_word(diagram, diagram.vertices, 2))
-    seen = set()
-    for ordering in permutations(group.gens):
-        c = group.word_to_element(ordering)
-        if c in seen:
-            continue
-        seen.add(c)
+    elements = _coxeter_elements(group)
+    for ordering in elements.values():
         word = [(g, 1) for g in ordering] * h
         assert eng.normal_form(word) == nf, (
             "sigma(c)^h != Delta^2 for ordering %s" % (ordering,)
         )
-    return "%d distinct Coxeter elements, h=%d" % (len(seen), h)
+    return "%d distinct Coxeter elements, h=%d" % (len(elements), h)
+
+
+def _coxeter_elements(group):
+    """Every distinct Coxeter element of `group`, each mapped to one ordering
+    of the generators that gives it.  The elements over a set S of generators
+    that end in g are those over S - g times s_g, so they are built set by
+    set, not from all n! orderings."""
+    layer = {frozenset(): {group.identity: ()}}
+    for _ in group.gens:
+        larger = {}
+        for subset, elements in layer.items():
+            for g in group.gens:
+                if g not in subset:
+                    into = larger.setdefault(subset | {g}, {})
+                    for c, ordering in elements.items():
+                        into.setdefault(group.mul_gen(c, g), ordering + (g,))
+        layer = larger
+    (elements,) = layer.values()
+    return elements
 
 
 def _delta_sq_central(engine):

@@ -4,8 +4,9 @@ Elements are permutations of the root index set; all coordinates are exact
 (integers, and Z[phi] as integer pairs for H).  Rank-2 components act on
 root rays by closed-form index arithmetic; every other root system is built
 from its Cartan matrix in simple-root coordinates.  Either way an
-irreducible type contributes only its simple reflections, kept in a bounded
-cache; every other reflection is derived from them by WGroup.reflections().
+irreducible type contributes only its simple reflections, the indices of
+its simple roots and its longest element, kept in a bounded cache; every
+other reflection is derived from them by WGroup.reflections().
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ _CARTAN = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 4: (-1, 0), 5: (0, -1)}
 
 def _root_model(family, diagram):
     """Close the simple roots under the simple reflections and return the
-    simple-reflection permutations, in the vertex order of `diagram`.
+    type model (see _type_model) in the vertex order of `diagram`.
 
     Roots are coefficient tuples in the simple-root basis, read off the
     Cartan matrix of `diagram`; positive roots are sorted lexicographically
-    by their coefficients.
+    by their coefficients.  Each s_j(root) is recorded as the walk meets the
+    root, so the roots are reflected once.
     """
     names = diagram.vertices
     n = len(names)
@@ -73,13 +75,15 @@ def _root_model(family, diagram):
         m = diagram.m(names[i], names[j])
         return (-2, 0) if m == 4 and j in short else _CARTAN[m]
 
-    cartan = [[entry(i, j) for j in range(n)] for i in range(n)]
+    # the nonzero entries of each column of the Cartan matrix
+    columns = [[(i, entry(i, j)) for i in range(n) if diagram.m(names[i], names[j]) != 2]
+               for j in range(n)]
 
     def reflect(j, root):
         """s_j(root) = root - <root, alpha_j^vee> alpha_j."""
         c0 = c1 = 0
-        for i, x in enumerate(root):
-            p0, p1 = phi_mul(x, cartan[i][j])
+        for i, c in columns[j]:
+            p0, p1 = phi_mul(root[i], c)
             c0 += p0
             c1 += p1
         a, b = root[j]
@@ -88,36 +92,55 @@ def _root_model(family, diagram):
     simples = [tuple((int(i == j), 0) for i in range(n)) for j in range(n)]
     found = list(simples)
     seen = set(simples)
+    images = {}  # positive root -> its images under s_0 .. s_{n-1}
     for root in found:
-        for j in range(n):
-            if root != simples[j]:
-                image = reflect(j, root)  # positive, since root != alpha_j
-                if image not in seen:
-                    seen.add(image)
-                    found.append(image)
+        images[root] = row = [reflect(j, root) for j in range(n)]
+        for j, image in enumerate(row):
+            # positive, since root != alpha_j
+            if root != simples[j] and image not in seen:
+                seen.add(image)
+                found.append(image)
     expected = ComponentType(family, n, names).reflection_count
     assert len(found) == expected, (
         "unexpected root count for %s_%d: %d" % (family, n, len(found))
     )
 
     positives = sorted(found, key=cmp_to_key(_lex_compare))
-    ordered = positives + [tuple((-a, -b) for a, b in r) for r in positives]
-    index = {root: i for i, root in enumerate(ordered)}
-    return tuple(tuple(index[reflect(j, root)] for root in ordered) for j in range(n))
+    n_pos = len(positives)
+    index = {root: i for i, root in enumerate(positives)}
+    alphas = tuple(index[a] for a in simples)
+    perms = []
+    for j, a in enumerate(alphas):
+        # s_j(alpha_j) = -alpha_j, and s_j(-root) = -s_j(root)
+        top = [n_pos + a if i == a else index[images[root][j]]
+               for i, root in enumerate(positives)]
+        perms.append(tuple(top + [k + n_pos if k < n_pos else k - n_pos for k in top]))
+
+    # w0: n_pos times, multiply by a simple reflection that lengthens
+    w0 = tuple(range(2 * n_pos))
+    for _ in range(n_pos):
+        j = next(j for j, a in enumerate(alphas) if w0[a] < n_pos)
+        w0 = itemgetter(*perms[j])(w0)
+    return tuple(perms), alphas, w0
 
 
 def _dihedral_model(p):
-    """I_2(p) on root indices: rays at angle k*pi/p, k mod 2p, positives k < p."""
+    """I_2(p) on root indices: rays at angle k*pi/p, k mod 2p, positives k < p.
+    The simple roots are rays 0 and p - 1; w0 is -1 for even p and the
+    reflection j -> 2p - 1 - j across ray (p - 1)/2 for odd p."""
     n = 2 * p
-    return (tuple((p - j) % n for j in range(n)),
-            tuple((p - 2 - j) % n for j in range(n)))
+    perms = (tuple((p - j) % n for j in range(n)),
+             tuple((p - 2 - j) % n for j in range(n)))
+    w0 = tuple(range(p, n)) + tuple(range(p)) if p % 2 == 0 else tuple(range(n - 1, -1, -1))
+    return perms, (0, p - 1), w0
 
 
 @lru_cache(maxsize=32)  # all suites together build 21 distinct types
-def _simple_perms(family, rank, p):
-    """Simple-reflection permutations of one irreducible type on its local
-    root indices (positives 0..n_pos-1, then their negatives), in the
-    standard vertex order of type_diagram."""
+def _type_model(family, rank, p):
+    """One irreducible type on its local root indices (positives
+    0..n_pos-1, then their negatives), in the standard vertex order of
+    type_diagram: the simple-reflection permutations, the index of each
+    simple root, and the longest element."""
     diagram = type_diagram(family, rank, p or None)
     if rank == 2:
         return _dihedral_model(diagram.m(*diagram.vertices))
@@ -146,32 +169,31 @@ class WGroup(object):
 
         # each component's positive roots follow those of the one before
         self._simple = {}
+        self._alpha = {}  # index of the simple root of each generator
+        self.w0 = self.identity
         offset = 0
         for c in report.components:
-            perms = _simple_perms(c.family, c.rank, c.p)
-            self._simple.update(zip(c.order, (self._lift(p, offset) for p in perms)))
+            perms, alphas, w0 = _type_model(c.family, c.rank, c.p)
+            self._simple.update(
+                zip(c.order, (self._lift(p, offset, self.identity) for p in perms)))
+            self._alpha.update(zip(c.order, (offset + a for a in alphas)))
+            self.w0 = self._lift(w0, offset, self.w0)
             offset += c.reflection_count
-
-        # index of the simple root of each generator: the unique positive
-        # root its reflection sends negative
-        self._alpha = {}
-        for g, perm in self._simple.items():
-            sent = [i for i in range(self.n_pos) if perm[i] >= self.n_pos]
-            assert len(sent) == 1
-            self._alpha[g] = sent[0]
-
-        self.w0 = self._longest()
 
     # -- basic permutation algebra -------------------------------------
 
-    def _lift(self, local, offset):
+    def _lift(self, local, offset, rest):
         """The permutation acting as the component permutation `local` on the
-        component whose positive roots start at `offset`, fixing the rest."""
+        component whose positive roots start at `offset`, and as `rest` on
+        the other roots."""
         n = len(local) // 2
+        if n == self.n_pos:
+            return local  # the only component: local indices are global
+        ident = self.identity
         # global index of each local root: positives, then their negatives
-        where = tuple(range(offset, offset + n)) + tuple(
-            range(self.n_pos + offset, self.n_pos + offset + n))
-        full = list(self.identity)
+        neg = self.n_pos + offset
+        where = ident[offset:offset + n] + ident[neg:neg + n]
+        full = list(rest)
         for j, img in zip(where, local):
             full[j] = where[img]
         return tuple(full)
@@ -219,13 +241,19 @@ class WGroup(object):
         return w
 
     def reduced_word(self, w):
-        """A reduced word for w, greedy on smallest left descent."""
+        """A reduced word for w, greedy on smallest left descent.  Only w^-1
+        is kept: g is a left descent of w when w^-1 sends alpha_g negative,
+        and peeling s_g off the left of w takes w^-1 to w^-1 s_g."""
+        n = self.n_pos
+        inv = [0] * self.size
+        for i, image in enumerate(w):
+            inv[image] = i
+        inv = tuple(inv)
         out = []
-        cur = w
-        while cur != self.identity:
-            g = min(self.left_descents(cur), key=sort_key)
+        for _ in range(self.length(w)):
+            g = next(g for g in self.gens if inv[self._alpha[g]] >= n)
             out.append(g)
-            cur = self.gen_mul(g, cur)
+            inv = self.mul_gen(inv, g)
         return tuple(out)
 
     def order(self, w):
@@ -237,15 +265,6 @@ class WGroup(object):
         return k
 
     # -- distinguished elements -----------------------------------------
-
-    def _longest(self):
-        w = self.identity
-        n = self.n_pos
-        while True:
-            up = [g for g in self.gens if w[self._alpha[g]] < n]
-            if not up:
-                return w
-            w = self.mul_gen(w, up[0])
 
     def coxeter_element(self):
         return self.word_to_element(self.gens)

@@ -1,11 +1,21 @@
 import hashlib
 import json
+import os
 
 import pytest
 
+import coxart
 from coxart.cli import main
 from coxart.diagram import type_diagram
 from coxart.garside import delta_word
+
+
+def subprocess_env(hash_seed):
+    """The environment for a coxart subprocess: this one, with the hash seed
+    set and the directory coxart was imported from first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(coxart.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
 
 
 def run(capsys, *argv):
@@ -167,6 +177,27 @@ def test_verify_has_no_seed_option(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("nf", "--group", "type A 2", "--word", ""),
+    ("commute", "--group", "type A 2", "--w1", "s1", "--w2", "s2"),
+    ("h1", "--group", "type A 2", "--word", "s1^2"),
+])
+@pytest.mark.parametrize("budget", ["-1", "0", "x"])
+def test_budget_below_one_is_a_usage_error_naming_the_flag(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--budget", budget])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --budget: must be an integer >= 1, got '%s'" % budget in out.err
+
+
+def test_budget_of_one_is_accepted(capsys):
+    code, out, _ = run(capsys, "nf", "--group", "type A 2", "--word", "s1",
+                       "--budget", "1")
+    assert code == 0 and out.strip() == "inf=0; canon=s1"
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--group", "type A 2",
                        "--word", "s1^50", "--budget", "10")
@@ -225,15 +256,14 @@ def test_cross_process_determinism(tmp_path):
     cmd = [sys.executable, "-m", "coxart.cli", "verify", "an-curves", "--json"]
     outs = set()
     for seed in ("0", "12345"):
-        env = dict(__import__("os").environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=subprocess_env(seed))
         assert proc.returncode == 0
         outs.add(proc.stdout)
     assert len(outs) == 1
 
 
 def test_error_messages_do_not_depend_on_hash_seed(tmp_path):
-    import os
     import subprocess
     import sys
 
@@ -252,10 +282,9 @@ def test_error_messages_do_not_depend_on_hash_seed(tmp_path):
     )
     for argv, want in cases:
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "coxart.cli", "pp-check"] + argv,
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True, env=subprocess_env(seed))
             assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import random
 from itertools import permutations
 
 import pytest
 from sympy.liealgebras.root_system import RootSystem
 
-from coxart.diagram import finite_type, parse_diagram, type_diagram
+from coxart.diagram import finite_type, parse_diagram, sort_key, type_diagram
+from coxart.suites import _coxeter_elements
 from coxart.wgroup import build_group, phi_mul, phi_sign
 
 RANK_LE4 = [
@@ -357,3 +359,88 @@ def test_large_dihedral_build_holds_under_a_megabyte():
     g, held = _held_bytes(lambda: build_group(type_diagram("I", 2, 2000)))
     assert held < 1_000_000, "I_2(2000) holds %d bytes" % held
     assert g.n_pos == 2000 and g.length(g.w0) == 2000
+
+
+# -- oracles for the lifted w0, the scan-free reduced word and the Coxeter
+# -- elements by subset; each multiplies permutations with its own code
+
+def _times(u, v):
+    """u then-after v, composed here rather than by WGroup.compose."""
+    return tuple(u[i] for i in v)
+
+
+def _walked_longest(g):
+    """w0 as the end of any walk that keeps lengthening on the right."""
+    w = tuple(range(g.size))
+    while True:
+        up = [x for x in g.gens if w[g.alpha_index(x)] < g.n_pos]
+        if not up:
+            return w
+        w = _times(w, g.simple(up[0]))
+
+
+@pytest.mark.parametrize("spec", [
+    "type I 2 5", "type I 2 6", "type I 2 7", "type E 6", "type D 5",
+    "vertex a; vertex b; vertex c; vertex d; vertex e; edge a b 3; edge d e 5",
+    "vertex a; vertex b; vertex c; vertex d; vertex e; vertex f; "
+    "edge a b 6; edge c d 3; edge d e 3; edge e f 4",
+])
+def test_lifted_longest_element_matches_the_walk(spec):
+    g = build_group(parse_diagram(spec))
+    assert g.w0 == _walked_longest(g)
+    assert all(g.w0[i] >= g.n_pos for i in range(g.n_pos))
+
+
+def _scan_reduced_word(g, w):
+    """The greedy smallest-left-descent word, finding each left descent by
+    scanning w for the simple root (w^-1(alpha_x) = w.index(alpha_x))."""
+    out = []
+    identity = tuple(range(g.size))
+    while w != identity:
+        x = min((x for x in g.gens if w.index(g.alpha_index(x)) >= g.n_pos),
+                key=sort_key)
+        out.append(x)
+        w = _times(g.simple(x), w)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fam,n,p", [("E", 8, None), ("H", 4, None),
+                                     ("F", 4, None), ("I", 2, 7)])
+def test_reduced_word_matches_index_scan_greedy(fam, n, p):
+    g = build_group(type_diagram(fam, n, p))
+    rng = random.Random("%s%d" % (fam, n))
+    randoms = []
+    for _ in range(20):
+        w = tuple(range(g.size))
+        for x in rng.choices(g.gens, k=rng.randrange(1, 3 * g.n_pos)):
+            w = _times(w, g.simple(x))
+        randoms.append(w)
+    for w in g.reflections() + [g.w0] + randoms:
+        word = g.reduced_word(w)
+        assert word == _scan_reduced_word(g, w)
+        assert len(word) == g.length(w)
+
+
+def _brute_force_coxeter_elements(g):
+    elements = set()
+    for ordering in permutations(g.gens):
+        w = tuple(range(g.size))
+        for x in ordering:
+            w = _times(w, g.simple(x))
+        elements.add(w)
+    return elements
+
+
+@pytest.mark.parametrize("fam,n", [("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 4)])
+def test_coxeter_elements_by_subset_match_all_orderings(fam, n):
+    g = build_group(type_diagram(fam, n))
+    found = _coxeter_elements(g)
+    assert set(found) == _brute_force_coxeter_elements(g)
+    for c, ordering in found.items():
+        assert sorted(ordering, key=sort_key) == list(g.gens)
+        assert g.word_to_element(ordering) == c
+
+
+@pytest.mark.parametrize("fam,n", [("A", 7), ("D", 6)])
+def test_tree_diagrams_have_two_to_the_n_minus_one_coxeter_elements(fam, n):
+    assert len(_coxeter_elements(build_group(type_diagram(fam, n)))) == 2 ** (n - 1)
