@@ -14,7 +14,7 @@ import sys
 
 from .curves import FAMILIES, build_system
 from .diagram import DiagramError, parse_diagram
-from .garside import ArtinEngine, BudgetExceeded, parse_word
+from .garside import ArtinEngine, BudgetExceeded, letter_budget, parse_word
 from .homology import h1_image, reflection_labels
 from .nerve import nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
@@ -121,6 +121,7 @@ def cmd_verify(args):
                              % type(config).__name__)
     if args.budget is not None:
         config["budget"] = args.budget
+    letter_budget()  # a bad COXART_LETTER_BUDGET is a usage error, not a FAIL
     result = run_suite(args.suite, config)
     if args.json:
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))

@@ -28,9 +28,20 @@ class BudgetExceeded(RuntimeError):
 
 
 def letter_budget(override=None):
+    """`override`, else COXART_LETTER_BUDGET, else the default; the variable
+    must hold an integer >= 1."""
     if override is not None:
         return override
-    return int(os.environ.get(_BUDGET_ENV, DEFAULT_LETTER_BUDGET))
+    raw = os.environ.get(_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_LETTER_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (_BUDGET_ENV, raw))
+    return value
 
 
 def check_budget(layer, letters, budget):
@@ -53,7 +64,10 @@ def parse_word(text):
     for token in text.split():
         if "^" in token:
             gen, raw = token.split("^", 1)
-            exp = int(raw)
+            try:
+                exp = int(raw)
+            except ValueError:
+                raise ValueError("bad exponent in token %r" % token) from None
         else:
             gen, exp = token, 1
         if not gen:

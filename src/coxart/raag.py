@@ -1,13 +1,15 @@
 """Right-angled Artin groups on flag complexes: normal form, word problem,
 Property PP search, avoidance and the generalized ping-pong certificate.
 
-Words are syllable lists [(vertex, exponent)].  The canonical form is the
-lexicographically least shuffle of the fully reduced word, so equality of
-group elements is equality of canonical forms.
+Words are syllable lists [(vertex, exponent)].  A complex keeps its vertices
+in `sort_key` order, so a vertex's position is its rank.  The canonical form
+is the shuffle of the fully reduced word that is least in vertex position,
+so equality of group elements is equality of canonical forms.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .diagram import sort_key
@@ -29,8 +31,9 @@ def bit_positions(mask):
 class FlagComplex:
     """A flag simplicial complex, stored as its graph (simplices = cliques).
 
-    `neighbours[i]` is the bitmask of the vertices adjacent to `vertices[i]`,
-    bit j standing for `vertices[j]`; `edges` is derived from it on demand.
+    `vertices` are kept in `sort_key` order; `neighbours[i]` is the bitmask
+    of the vertices adjacent to `vertices[i]`, bit j standing for
+    `vertices[j]`; `edges` is derived from it on demand.
     """
 
     vertices: tuple
@@ -39,7 +42,7 @@ class FlagComplex:
 
     def __init__(self, vertices, edges):
         """`edges` is an iterable of 2-element collections of vertices."""
-        vertices = tuple(vertices)
+        vertices = tuple(sorted(vertices, key=sort_key))
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise RaagError("duplicate vertex in %r" % (vertices,))
@@ -59,7 +62,7 @@ class FlagComplex:
 
     @staticmethod
     def build(vertices, edge_pairs):
-        return FlagComplex(sorted(set(vertices), key=sort_key), edge_pairs)
+        return FlagComplex(set(vertices), edge_pairs)
 
     @property
     def edges(self):
@@ -128,10 +131,7 @@ class FlagComplex:
     def to_json(self):
         return {
             "vertices": list(self.vertices),
-            "edges": sorted(
-                [sorted(p, key=sort_key) for p in self.edge_pairs()],
-                key=lambda p: (sort_key(p[0]), sort_key(p[1])),
-            ),
+            "edges": [list(p) for p in self.edge_pairs()],
         }
 
     def to_dot(self, name="complex"):
@@ -248,16 +248,17 @@ def raag_normal_form(complex_, word):
             if sylls[i][0] == sylls[j][0] or not complex_.adjacent(sylls[i][0], sylls[j][0]):
                 preds[j] += 1
                 succs[i].append(j)
-    ready = [i for i in range(n) if preds[i] == 0]
+    pos = [complex_._index[v] for v, _ in sylls]
+    ready = [(pos[i], i) for i in range(n) if preds[i] == 0]
+    heapq.heapify(ready)
     out = []
     while ready:
-        ready.sort(key=lambda i: (sort_key(sylls[i][0]), i))
-        i = ready.pop(0)
+        i = heapq.heappop(ready)[1]
         out.append(sylls[i])
         for j in succs[i]:
             preds[j] -= 1
             if preds[j] == 0:
-                ready.append(j)
+                heapq.heappush(ready, (pos[j], j))
     return out
 
 
@@ -299,15 +300,10 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     verts, nbrs = complex_.vertices, complex_.neighbours
     # The vertices that may follow a word, as a mask: after a syllable on
     # vertex i, those not adjacent to it (free[i]), and those adjacent to it,
-    # with a larger key, that the word before it allowed (keep[i]).
-    larger = [0] * len(verts)
-    acc = 0
-    for i in sorted(range(len(verts)), key=lambda i: sort_key(verts[i]), reverse=True):
-        larger[i] = acc
-        acc |= 1 << i
+    # after it, that the word before it allowed (keep[i]).
     every = (1 << len(verts)) - 1
     free = [every & ~(m | 1 << i) for i, m in enumerate(nbrs)]
-    keep = [m & larger[i] for i, m in enumerate(nbrs)]
+    keep = [m & -(2 << i) for i, m in enumerate(nbrs)]
 
     def emit(word):
         if skip_cyclically_reducible and len(word) >= 2:

@@ -198,6 +198,35 @@ def test_budget_of_one_is_accepted(capsys):
     assert code == 0 and out.strip() == "inf=0; canon=s1"
 
 
+@pytest.mark.parametrize("argv", [
+    ("nf", "--group", "type A 2", "--word", ""),
+    ("verify", "tits-classic"),
+])
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5"])
+def test_bad_letter_budget_variable_is_a_usage_error(capsys, monkeypatch,
+                                                      argv, value):
+    monkeypatch.setenv("COXART_LETTER_BUDGET", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: COXART_LETTER_BUDGET must be an integer >= 1, "
+                   "got '%s'\n" % value)
+
+
+def test_letter_budget_variable_is_honoured(capsys, monkeypatch):
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "3")
+    code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^3")
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^4")
+    assert code == 2 and "letter budget 3" in err
+
+
+@pytest.mark.parametrize("word", ["s1^", "s1^x", "s2 s1^-"])
+def test_bad_exponent_names_the_token(capsys, word):
+    code, out, err = run(capsys, "nf", "--group", "type A 2", "--word", word)
+    assert code == 2 and out == ""
+    assert err == "error: bad exponent in token %r\n" % word.split()[-1]
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--group", "type A 2",
                        "--word", "s1^50", "--budget", "10")

@@ -466,3 +466,112 @@ def _normal_forms_digest():
 
 def test_normal_forms_match_pinned_digest():
     assert _normal_forms_digest() == NORMAL_FORMS_SHA256
+
+
+# -- vertices kept in sort_key order -----------------------------------------
+
+def _key(v):
+    """The test's own copy of the vertex order: short names first."""
+    return (len(v), v)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_shuffled_vertices_give_the_sorted_complex(family, rank):
+    from coxart.diagram import type_diagram
+    from coxart.nerve import subdivision
+
+    cx = subdivision(type_diagram(family, rank)).complex
+    rng = random.Random("shuffle:%s%d" % (family, rank))
+    vs = list(cx.vertices)
+    rng.shuffle(vs)
+    pairs = [p if rng.random() < 0.5 else p[::-1] for p in cx.edge_pairs()]
+    rng.shuffle(pairs)
+    ordered = FlagComplex(sorted(vs, key=_key), pairs)
+    for other in (FlagComplex(vs, pairs), FlagComplex.build(vs + vs[:5], pairs)):
+        assert other.vertices == ordered.vertices == tuple(sorted(vs, key=_key))
+        assert other.neighbours == ordered.neighbours
+        assert other == ordered and other.edges == ordered.edges
+        assert other.to_json() == ordered.to_json()
+        assert other.cliques() == ordered.cliques()
+        for _ in range(20):
+            word = _random_word(rng, vs, 40)
+            assert raag_normal_form(other, word) == raag_normal_form(ordered, word)
+    edges = ordered.to_json()["edges"]
+    assert edges == sorted((sorted(p, key=_key) for p in pairs),
+                           key=lambda p: (_key(p[0]), _key(p[1])))
+
+
+# -- oracle: the least ordering of the cancelled word, by breadth-first search
+
+def _least_reachable(commute, word):
+    """Search every syllable word reachable from `word` by swapping adjacent
+    syllables on distinct commuting vertices and merging adjacent syllables
+    on one vertex.  Of the shortest words (letters, then syllables), return
+    the least in the vertex order, as a list."""
+    from collections import deque
+
+    def rank(w):
+        return (sum(abs(e) for _, e in w), len(w), [(_key(v), e) for v, e in w])
+
+    start = tuple(word)
+    seen, queue, best = {start}, deque([start]), start
+    while queue:
+        w = queue.popleft()
+        if rank(w) < rank(best):
+            best = w
+        for i in range(len(w) - 1):
+            (a, ea), (b, eb) = w[i], w[i + 1]
+            if a == b:
+                merged = ((a, ea + eb),) if ea + eb else ()
+                nxt = w[:i] + merged + w[i + 2:]
+            elif commute(a, b):
+                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return list(best)
+
+
+def _pairwise_commuting(commute, vertices, rng, size):
+    """Up to `size` vertices that commute pairwise, found greedily."""
+    pool = list(vertices)
+    rng.shuffle(pool)
+    clique = []
+    for v in pool:
+        if len(clique) < size and all(commute(v, u) for u in clique):
+            clique.append(v)
+    return clique
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_normal_form_is_least_reachable_ordering(family, rank):
+    from coxart.diagram import type_diagram
+    from coxart.nerve import subdivision
+
+    diagram = type_diagram(family, rank)
+    sub = subdivision(diagram)
+    named = sub.vertex_subsets
+
+    def commute(a, b):
+        return _commute_or_nest(diagram.labels, named[a], named[b])
+
+    rng = random.Random("least:%s%d" % (family, rank))
+    names = sorted(named)
+    words = []
+    for _ in range(40):  # few letters, so that syllables meet and cancel
+        pool = rng.sample(names, rng.randint(2, 4))
+        words.append([(rng.choice(pool), rng.choice((1, -1, 2, -2)))
+                      for _ in range(rng.randint(0, 8))])
+    widest = 0
+    for _ in range(6):  # words whose syllables all commute pairwise
+        clique = _pairwise_commuting(commute, names, rng, 8)
+        widest = max(widest, len(clique))
+        words.append([(v, rng.choice((1, -1, 2))) for v in clique])
+        words.append([(rng.choice(clique), rng.choice((1, -1, 2)))
+                      for _ in range(8)])
+    assert widest >= 3
+    for word in words:
+        assert raag_normal_form(sub.complex, word) == \
+            _least_reachable(commute, word), word
