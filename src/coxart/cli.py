@@ -71,7 +71,7 @@ def cmd_fold(args):
 def cmd_curves(args):
     system = build_system(args.family, args.rank)
     if args.out == "dot":
-        print(system.curve_complex().to_dot("curves"))
+        print(system.complex.to_dot("curves"))
     else:
         print(json.dumps(system.to_json(), indent=2, sort_keys=True))
     return 0

@@ -62,13 +62,6 @@ class CurveSystem:
     def subsets(self):
         return sorted(self.boundary, key=lambda s: (len(s), sorted(map(sort_key, s))))
 
-    def curve_complex(self):
-        """Flag complex on the curves; adjacency = disjointness."""
-        return self.complex
-
-    def multicurve(self, subset):
-        return self.boundary[frozenset(subset)]
-
     def to_json(self):
         return {
             "family": self.family,
@@ -102,7 +95,7 @@ def to_word_system(system):
         frozenset(curves): multitwist_word(system, subset)
         for subset, curves in system.boundary.items()
     }
-    return WordSystem(system.curve_complex(), words)
+    return WordSystem(system.complex, words)
 
 
 def audit_system(system):
@@ -395,47 +388,28 @@ class ReferenceResult:
     global_pp_found: bool | None = None
 
 
-def _choice_from_by_subset(system, by_subset):
-    assignment = {}
-    for subset, curve in by_subset.items():
-        simplex = frozenset(system.boundary[frozenset(subset)])
-        assignment[simplex] = curve
-    return ChoiceMap(assignment)
-
-
-def choice_by_subset_an(system):
-    out = {}
-    for subset, curves in system.boundary.items():
-        out[subset] = curves[0]  # the unprimed curve, extended to i = 1
-    return out
-
-
 def reference_choice(system):
     """The stated representative choice (A and folded families) or the
     r-versus-r' split for type D; verified by the ping-pong engine."""
     ws = to_word_system(system)
-    if system.family == "An":
-        by_subset = choice_by_subset_an(system)
-        cm = _choice_from_by_subset(system, by_subset)
+    if system.family in ("An", "E6F", "E8F"):
+        if system.family == "An":  # the unprimed curve, extended to i = 1
+            by_subset = {s: curves[0] for s, curves in system.boundary.items()}
+            reason = "stated interval choice satisfies Property PP"
+            failure = "stated A-family choice fails PP: %s"
+        else:
+            doc = _fixture("e6_folded.json" if system.family == "E6F" else "e8_folded.json")
+            by_subset = {frozenset(k.split("+")): v for k, v in doc["choice"].items()}
+            reason = "stated folded-target choice satisfies Property PP"
+            failure = "stated folded choice fails PP: %s"
+        cm = ChoiceMap({frozenset(system.boundary[s]): c for s, c in by_subset.items()})
         defects = validate_choice(ws, cm)
         if defects:
-            raise AssertionError("stated A-family choice fails PP: %s" % defects[0])
+            raise AssertionError(failure % defects[0])
         return ReferenceResult(
             "choice",
             {subset_name(s): c for s, c in by_subset.items()},
-            "stated interval choice satisfies Property PP",
-        )
-    if system.family in ("E6F", "E8F"):
-        doc = _fixture("e6_folded.json" if system.family == "E6F" else "e8_folded.json")
-        by_subset = {frozenset(k.split("+")): v for k, v in doc["choice"].items()}
-        cm = _choice_from_by_subset(system, by_subset)
-        defects = validate_choice(ws, cm)
-        if defects:
-            raise AssertionError("stated folded choice fails PP: %s" % defects[0])
-        return ReferenceResult(
-            "choice",
-            {subset_name(s): c for s, c in by_subset.items()},
-            "stated folded-target choice satisfies Property PP",
+            reason,
         )
     if system.family == "Dn":
         found = pp_search(ws)
@@ -465,10 +439,6 @@ class KernelReport:
     artin_nontrivial: bool
     curve_raag_trivial: bool
     detail: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return self.raag_nontrivial and self.artin_nontrivial and self.curve_raag_trivial
 
 
 def e7_kernel_word_z(power=1):
@@ -509,7 +479,7 @@ def e7_kernel_check(power=1):
     # each z_T becomes the multitwist about the boundary curves of T
     w_curves = e7_kernel_word_z()
     images = {name: multitwist_word(system, name.split("+")) for name, _ in w_curves}
-    leg3 = raag_is_trivial(system.curve_complex(), substitute(images, w_curves))
+    leg3 = raag_is_trivial(system.complex, substitute(images, w_curves))
 
     return KernelReport(
         leg1 and leg1_path,
@@ -530,10 +500,6 @@ class LanternReport:
     raag_commute: bool
     retraction_pair: tuple
     detail: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return self.artin_commute and not self.raag_commute
 
 
 def _puncture_interval_gens(a, b):

@@ -324,6 +324,9 @@ def type_diagram(family, n, p=None, prefix="s"):
     (the one produced by finite_type).
     """
     family = family.upper()
+    if p is not None and family != "I":
+        raise DiagramError("only type I takes a dihedral label, got %r for type %s"
+                           % (p, family))
     names = tuple("%s%d" % (prefix, i) for i in range(1, n + 1))
     labels = {}
 
@@ -379,6 +382,13 @@ def type_diagram(family, n, p=None, prefix="s"):
     return CoxeterDiagram(names, labels)
 
 
+def _int_token(token, what, line):
+    try:
+        return int(token)
+    except ValueError:
+        raise DiagramError("bad %s %r in line %r" % (what, token, line)) from None
+
+
 def parse_diagram(text):
     """Parse the textual diagram format.
 
@@ -411,15 +421,16 @@ def parse_diagram(text):
                     raise DiagramError("edge references unknown vertex %r" % v)
             if a == b:
                 raise DiagramError("self-edge on %r" % a)
-            m = INF if raw_m.lower() in ("inf", "infinity", "oo") else int(raw_m)
+            m = (INF if raw_m.lower() in ("inf", "infinity", "oo")
+                 else _int_token(raw_m, "label", line))
             if m != INF and m < 2:
                 raise DiagramError("label below 2 on edge %s %s" % (a, b))
             if m != 2:  # m = 2 is the default and is not stored
                 labels[_pair(a, b)] = m
         elif kind == "type" and len(parts) in (3, 4):
             fam = parts[1]
-            n = int(parts[2])
-            p = int(parts[3]) if len(parts) == 4 else None
+            n = _int_token(parts[2], "rank", line)
+            p = _int_token(parts[3], "dihedral label", line) if len(parts) == 4 else None
             sub = type_diagram(fam, n, p)
             for v in sub.vertices:
                 add_vertex(v)

@@ -31,9 +31,6 @@ class FoldedDiagram:
     # the A_(m-1) x A_(m-1) diagram
     block_layout: dict
 
-    def fiber(self, g):
-        return self.fibers[g]
-
     def preimage(self, subset):
         out = set()
         for g in subset:

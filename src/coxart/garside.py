@@ -159,10 +159,6 @@ class ArtinEngine(object):
         b = list(w2) + list(w1)
         return self.normal_form(a) == self.normal_form(b)
 
-    def sigma_lift(self, element):
-        """Positive reduced word for a W-element (Tits section)."""
-        return [(g, 1) for g in self.w.reduced_word(element)]
-
 
 class _NFState(object):
     """Delta^k * tau^parity(seq), seq kept left-greedy after every push.

@@ -28,33 +28,13 @@ class H1Vector:
     def as_dict(self):
         return dict(self.coeffs)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        d = self.as_dict()
-        for r, c in other.coeffs:
-            d[r] = d.get(r, 0) + c
-        return H1Vector.from_dict(d)
-
-    def coefficient(self, root_index):
-        return self.as_dict().get(root_index, 0)
-
-
-def projection(group, word):
-    """Image of an Artin word in W (both signs of a letter map to s)."""
-    w = group.identity
-    for g, e in word:
-        if g not in group._simple:
-            raise DiagramError("unknown generator %r" % (g,))
-        if e % 2:
-            w = group.mul_gen(w, g)
-    return w
-
 
 def is_pure(group, word):
-    """True iff the word lies in the kernel of A -> W."""
-    return projection(group, word) == group.identity
+    """True iff the word lies in the kernel of A -> W, which sends both signs
+    of a letter to its simple reflection.  An unknown letter is passed on
+    whatever its power, so that word_to_element names it."""
+    return group.word_to_element(
+        g for g, e in word if e % 2 or g not in group.gens) == group.identity
 
 
 def h1_image(group, word, budget=None):
@@ -175,7 +155,7 @@ def longest_hyperplane_audit(m, exponent_bound=3):
         if word and is_pure(group, word):
             pure += 1
             vec = h1_image(group, word)
-            if all(vec.coefficient(r) for r in longest):
+            if set(longest) <= vec.as_dict().keys():
                 failures.append(list(word))
         if remaining == 0:
             return

@@ -13,7 +13,7 @@ from .diagram import (
     sort_key,
 )
 from .garside import delta_power
-from .raag import FlagComplex, RaagError, bit_positions, substitute
+from .raag import FlagComplex, RaagError, substitute
 
 DEFAULT_MAX_RANK = 12
 
@@ -67,9 +67,6 @@ class Nerve:
         return tuple(sorted((v for s in self.simplices if len(s) == 1 for v in s),
                             key=sort_key))
 
-    def faces_of_dim(self, k):
-        return [s for s in self.simplices if len(s) == k + 1]
-
     def to_json(self):
         return {
             "vertices": list(self.vertices()),
@@ -99,16 +96,6 @@ class SubdividedNerve:
     complex: FlagComplex
     vertex_subsets: dict  # name -> frozenset of generators
 
-    def triangles(self):
-        out = []
-        vs, nbrs = self.complex.vertices, self.complex.neighbours
-        for i, m in enumerate(nbrs):
-            later = m & -(2 << i)  # the neighbours after vertex i
-            for j in bit_positions(later):
-                for k in bit_positions(later & nbrs[j] & -(2 << j)):
-                    out.append((vs[i], vs[j], vs[k]))
-        return out
-
     def to_json(self):
         doc = self.complex.to_json()
         doc["vertex_subsets"] = {
@@ -136,7 +123,7 @@ def _subset_complex(diagram, named):
         for nb in ordered[i + 1:]
         if nested_or_commuting(diagram, named[na], named[nb])
     ]
-    return FlagComplex.build(ordered, edges)
+    return FlagComplex(ordered, edges)
 
 
 def subdivision(diagram, max_rank=DEFAULT_MAX_RANK):

@@ -60,10 +60,6 @@ class FlagComplex:
         object.__setattr__(self, "neighbours", tuple(nbrs))
         object.__setattr__(self, "_index", index)
 
-    @staticmethod
-    def build(vertices, edge_pairs):
-        return FlagComplex(set(vertices), edge_pairs)
-
     @property
     def edges(self):
         """The edge set, as a frozenset of 2-element frozensets."""
@@ -156,7 +152,7 @@ def complex_from_json(doc):
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
             raise RaagError("bad edge %r" % (e,))
-    return FlagComplex.build(vertices, [tuple(e) for e in edges])
+    return FlagComplex(vertices, [tuple(e) for e in edges])
 
 
 # -- words -------------------------------------------------------------------
@@ -272,10 +268,6 @@ def raag_is_trivial(complex_, word):
 
 def raag_commutes(complex_, w1, w2):
     return raag_equals(complex_, list(w1) + list(w2), list(w2) + list(w1))
-
-
-def raag_length(complex_, word):
-    return sum(abs(e) for _, e in raag_normal_form(complex_, word))
 
 
 def retraction(complex_, keep, word):

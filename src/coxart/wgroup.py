@@ -289,11 +289,6 @@ class WGroup(object):
                     frontier.append(q)
         return table
 
-    def reflection_perm(self, root_index):
-        if not 0 <= root_index < self.n_pos:
-            raise IndexError("no positive root %r" % (root_index,))
-        return self.reflections()[root_index]
-
 
 def build_group(diagram, subset=None):
     """WGroup for a spherical (subset of a) diagram; errors otherwise."""

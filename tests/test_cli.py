@@ -124,6 +124,8 @@ def test_pp_check_malformed_files_exit_two(tmp_path, capsys):
         ({"vertices": ["a", "b"], "edges": [5]}, "bad edge 5"),
         ({"vertices": [1, 2], "edges": []}, "'vertices'"),
         ({"vertices": ["a", "b"], "edges": [], "words": {"a": 3}}, "'words'"),
+        ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]], "words": {"a": "a"}},
+         "duplicate vertex in ('a', 'a', 'b')"),
     )
     for doc, message in docs:
         path = tmp_path / "system.json"
@@ -225,6 +227,20 @@ def test_bad_exponent_names_the_token(capsys, word):
     code, out, err = run(capsys, "nf", "--group", "type A 2", "--word", word)
     assert code == 2 and out == ""
     assert err == "error: bad exponent in token %r\n" % word.split()[-1]
+
+
+@pytest.mark.parametrize("diagram,message", [
+    ("type A 2 7", "only type I takes a dihedral label, got 7 for type A"),
+    ("type E 6 2", "only type I takes a dihedral label, got 2 for type E"),
+    ("type A two", "bad rank 'two' in line 'type A two'"),
+    ("type I 2 x", "bad dihedral label 'x' in line 'type I 2 x'"),
+    ("vertex s; vertex t; edge s t x", "bad label 'x' in line 'edge s t x'"),
+    ("vertex s; vertex t; edge s t 2.5", "bad label '2.5' in line 'edge s t 2.5'"),
+])
+def test_bad_diagram_line_names_the_token(capsys, diagram, message):
+    code, out, err = run(capsys, "export", "--what", "nerve", "--diagram", diagram)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_budget_exit_code(capsys):

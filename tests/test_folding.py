@@ -55,7 +55,7 @@ def test_psi_generator_image():
     fold = build_folded(type_diagram("I", 2, 3))
     s = fold.source.vertices[0]
     image = psi_word(fold, [(s, 1)])
-    assert [g for g, _ in image] == list(fold.fiber(s))
+    assert [g for g, _ in image] == list(fold.fibers[s])
     assert psi_word(fold, []) == []
 
 

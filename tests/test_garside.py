@@ -27,16 +27,21 @@ def test_parse_word_syntax():
     assert parse_word("") == []
 
 
+def _sigma_lift(eng, element):
+    """The Tits section: a positive reduced word for a W-element."""
+    return [(g, 1) for g in eng.w.reduced_word(element)]
+
+
 def test_sigma_lift_identity_and_generator(a2_engine):
     eng = a2_engine
-    assert eng.sigma_lift(eng.w.identity) == []
+    assert _sigma_lift(eng, eng.w.identity) == []
     g = eng.w.gens[0]
-    assert eng.sigma_lift(eng.w.simple(g)) == [(g, 1)]
+    assert _sigma_lift(eng, eng.w.simple(g)) == [(g, 1)]
 
 
 def test_sigma_lift_longest_is_delta(a2_engine):
     eng = a2_engine
-    lift = eng.sigma_lift(eng.w.w0)
+    lift = _sigma_lift(eng, eng.w.w0)
     nf = eng.normal_form(lift)
     assert nf.inf == 1 and nf.canon == ()
     # both reduced words of the longest element are the same group element

@@ -10,7 +10,6 @@ from coxart.homology import (
     is_pure,
     longest_hyperplane_audit,
     longest_hyperplane_indices,
-    projection,
 )
 from coxart.raag import raag_inverse as inverse_word
 from coxart.wgroup import build_group
@@ -41,7 +40,16 @@ def test_h1_delta_squared_hits_every_reflection(a2):
 
 
 def test_h1_commutator_vanishes(a2):
-    assert h1_image(a2, parse_word("s^2 t^2 s^-2 t^-2")).is_zero()
+    assert h1_image(a2, parse_word("s^2 t^2 s^-2 t^-2")).as_dict() == {}
+
+
+def _sum(*vectors):
+    """The sum of H1 vectors, as a dict without zero coordinates."""
+    out = {}
+    for vec in vectors:
+        for r, c in vec.coeffs:
+            out[r] = out.get(r, 0) + c
+    return {r: c for r, c in out.items() if c}
 
 
 def test_h1_conjugated_square_is_basis_vector(a2):
@@ -70,10 +78,8 @@ def test_h1_additive_on_random_pure_words(a2):
 
     for _ in range(25):
         u, v = random_pure(), random_pure()
-        lhs = h1_image(a2, u + v).as_dict()
-        rhs = (h1_image(a2, u) + h1_image(a2, v)).as_dict()
-        assert lhs == rhs
-        assert (h1_image(a2, inverse_word(u)) + h1_image(a2, u)).is_zero()
+        assert h1_image(a2, u + v).as_dict() == _sum(h1_image(a2, u), h1_image(a2, v))
+        assert _sum(h1_image(a2, inverse_word(u)), h1_image(a2, u)) == {}
 
 
 def test_h1_conjugation_permutes_coordinates(a2):
@@ -86,7 +92,7 @@ def test_h1_conjugation_permutes_coordinates(a2):
         conj = a + w + inverse_word(a)
         vec = h1_image(a2, conj).as_dict()
         base = h1_image(a2, w).as_dict()
-        p = projection(a2, a)
+        p = a2.word_to_element([g for g, e in a if e % 2])
         permuted = {p[r] % a2.n_pos: c for r, c in base.items()}
         assert vec == permuted
 
@@ -127,7 +133,7 @@ def test_delta_squared_outside_audited_family(a2):
     # hyperplane, so it sits outside the audited family as expected
     vec = h1_image(a2, delta_word(A2, A2.vertices, 2))
     (longest,) = longest_hyperplane_indices(3)
-    assert vec.coefficient(longest) == 1
+    assert vec.as_dict()[longest] == 1
 
 
 def test_audit_failure_reporting_is_possible():
