@@ -8,14 +8,19 @@ A word is read in maximal runs of same-sign letters whose product in W stays
 reduced; each run enters as one simple (a negative run as Delta^-1 times a
 simple), so Delta_T^k costs k factors.  One backward sweep of pairwise
 left-weighting restores the normal form after each factor (Epstein et al.,
-Word Processing in Groups, ch. 9).  The budget bounds the letters of a word.
+Word Processing in Groups, ch. 9).  A pair u|v is left-weighted by moving
+onto u the longest prefix of v that keeps u simple; that prefix is grown by
+root lookups, with no descent sets.  Two normal forms multiply without
+re-reading either word, Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, which
+is how two words are tested for commuting.  The budget bounds the letters of
+a word.
 """
 
 from __future__ import annotations
 
 import os
 
-from .diagram import DiagramError, require_irreducible_spherical, sort_key
+from .diagram import DiagramError, require_irreducible_spherical
 from .raag import raag_inverse
 from .wgroup import WGroup
 
@@ -129,6 +134,8 @@ class ArtinEngine(object):
             match = [h for h in w.gens if w.simple(h) == image]
             assert len(match) == 1, "conjugation by Delta must permute generators"
             self._tau_gen[g] = match[0]
+        # (index of alpha_g, s_g) for each generator, for _fix_pair
+        self._gen_roots = [(w.alpha_index(g), w.simple(g)) for g in w.gens]
 
     def tau(self, u):
         """Delta^-1 u Delta on simples, i.e. conjugation by the longest element."""
@@ -154,10 +161,20 @@ class ArtinEngine(object):
     def is_trivial(self, word):
         return self.normal_form(word).is_trivial()
 
+    def multiply(self, a, b):
+        """Normal form of the product of two normal forms a and b:
+        Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, so the factors of B are
+        pushed onto the left-greedy A under the twist of parity j."""
+        state = _NFState(self, a.inf + b.inf, b.inf & 1, a.canon)
+        for x in b.canon:
+            state._push_run(x, 1)
+        return state.readout()
+
     def commutes(self, w1, w2):
-        a = list(w1) + list(w2)
-        b = list(w2) + list(w1)
-        return self.normal_form(a) == self.normal_form(b)
+        """Whether w1 w2 = w2 w1, each word read once."""
+        self.check_letters(word_length(w1) + word_length(w2))
+        a, b = self.normal_form(w1), self.normal_form(w2)
+        return self.multiply(a, b) == self.multiply(b, a)
 
 
 class _NFState(object):
@@ -167,16 +184,18 @@ class _NFState(object):
     product stays reduced.  Each appended simple is left-weighted into seq
     by one backward sweep that stops at the first pair left unchanged; a
     factor that becomes Delta leaves seq for the power k at once, so seq
-    never holds the identity or Delta.
+    never holds the identity or Delta.  A pair is fixed by root lookups
+    (_fix_pair); a state may also start from a normal form's factors, which
+    is how ArtinEngine.multiply continues one normal form by another.
     """
 
     __slots__ = ("engine", "k", "parity", "seq")
 
-    def __init__(self, engine):
+    def __init__(self, engine, k=0, parity=0, seq=()):
         self.engine = engine
-        self.k = 0
-        self.parity = 0
-        self.seq = []
+        self.k = k
+        self.parity = parity
+        self.seq = list(seq)
 
     def push_word(self, word):
         eng = self.engine
@@ -230,25 +249,39 @@ class _NFState(object):
             self.parity ^= 1
 
     def _fix_pair(self, i):
-        w = self.engine.w
+        """Left-weight seq[i], seq[i + 1] = u, v: move onto u the longest
+        prefix m of v with u m still simple; report whether m is nontrivial.
+
+        m grows one generator at a time.  s_h extends m when h is a left
+        descent of m^-1 v, i.e. v^-1 sends m(alpha_h) negative, i.e.
+        m(alpha_h) is the image under v of a negative root; and u m s_h stays
+        simple when u m sends alpha_h positive.  The left-weighted pair is
+        unique, so the order of the moves does not matter.
+        """
+        eng = self.engine
+        w = eng.w
+        n = w.n_pos
         seq = self.seq
         u, v = seq[i], seq[i + 1]
-        changed = False
-        while True:
-            move = w.left_descents(v) - w.right_descents(u)
-            if not move:
-                break
-            g = min(move, key=sort_key)
-            u = w.mul_gen(u, g)
-            v = w.gen_mul(g, v)
-            changed = True
-        if changed:
-            if v == w.identity:
-                seq[i] = u
-                del seq[i + 1]
-            else:
-                seq[i], seq[i + 1] = u, v
-        return changed
+        v_neg = set(v[n:])
+        m = w.identity
+        grown = True
+        while grown:
+            grown = False
+            for alpha, s in eng._gen_roots:
+                r = m[alpha]
+                if r in v_neg and u[r] < n:
+                    m = w.compose(m, s)
+                    grown = True
+        if m == w.identity:
+            return False
+        seq[i] = w.compose(u, m)
+        rest = w.compose(w.inverse(m), v)
+        if rest == w.identity:
+            del seq[i + 1]
+        else:
+            seq[i + 1] = rest
+        return True
 
     def readout(self):
         eng = self.engine

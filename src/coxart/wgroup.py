@@ -207,9 +207,11 @@ class WGroup(object):
         """w * s_g (right multiplication by a generator)."""
         return self.compose(w, self._simple[g])
 
-    def gen_mul(self, g, w):
-        """s_g * w."""
-        return self.compose(self._simple[g], w)
+    def inverse(self, w):
+        inv = [0] * self.size
+        for i, image in enumerate(w):
+            inv[image] = i
+        return tuple(inv)
 
     def simple(self, g):
         return self._simple[g]
@@ -220,16 +222,6 @@ class WGroup(object):
     def length(self, w):
         n = self.n_pos
         return sum(1 for i in range(n) if w[i] >= n)
-
-    def right_descents(self, w):
-        """Generators g with l(w s_g) < l(w): w sends alpha_g negative."""
-        n = self.n_pos
-        return frozenset(g for g in self.gens if w[self._alpha[g]] >= n)
-
-    def left_descents(self, w):
-        """Generators g with l(s_g w) < l(w): w^-1 sends alpha_g negative."""
-        n = self.n_pos
-        return frozenset(g for g in self.gens if w.index(self._alpha[g]) >= n)
 
     def word_to_element(self, word):
         """Product of simple reflections, letters applied left to right."""
@@ -245,10 +237,7 @@ class WGroup(object):
         is kept: g is a left descent of w when w^-1 sends alpha_g negative,
         and peeling s_g off the left of w takes w^-1 to w^-1 s_g."""
         n = self.n_pos
-        inv = [0] * self.size
-        for i, image in enumerate(w):
-            inv[image] = i
-        inv = tuple(inv)
+        inv = self.inverse(w)
         out = []
         for _ in range(self.length(w)):
             g = next(g for g in self.gens if inv[self._alpha[g]] >= n)

@@ -249,6 +249,15 @@ def test_budget_exit_code(capsys):
     assert code == 2 and "budget" in err and "garside" in err
 
 
+def test_commute_budget_counts_both_words(capsys):
+    # each word fits the budget, the two together do not
+    code, out, err = run(capsys, "commute", "--group", "type A 2", "--w1", "s1^3",
+                         "--w2", "s2^3", "--budget", "5")
+    assert (code, out) == (2, "")
+    assert err == ("resource budget exceeded: garside normal form: word of 6 "
+                   "letters exceeds the letter budget 5\n")
+
+
 def test_group_argument_from_file(tmp_path, capsys):
     path = tmp_path / "diagram.txt"
     path.write_text("vertex a\nvertex b\nedge a b 5\n")

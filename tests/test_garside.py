@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from coxart.diagram import parse_diagram, type_diagram
+from coxart.diagram import irreducible_components, parse_diagram, type_diagram
 from coxart.garside import (
     ArtinEngine,
     BudgetExceeded,
@@ -130,6 +131,18 @@ def test_round_trip_random_words(a2_engine):
         assert eng.normal_form(back) == nf
 
 
+def _left_descents(group, v):
+    """Generators g with l(s_g v) < l(v), from lengths alone."""
+    return {g for g in group.gens
+            if group.length(group.compose(group.simple(g), v)) < group.length(v)}
+
+
+def _right_descents(group, u):
+    """Generators g with l(u s_g) < l(u), from lengths alone."""
+    return {g for g in group.gens
+            if group.length(group.compose(u, group.simple(g))) < group.length(u)}
+
+
 def test_canonical_form_is_left_weighted(a2_engine):
     rng = random.Random(11)
     eng = a2_engine
@@ -140,7 +153,7 @@ def test_canonical_form_is_left_weighted(a2_engine):
         nf = eng.normal_form(word)
         assert all(u != group.identity and u != group.w0 for u in nf.canon)
         for u, v in zip(nf.canon, nf.canon[1:]):
-            assert group.left_descents(v) <= group.right_descents(u)
+            assert _left_descents(group, v) <= _right_descents(group, u)
 
 
 def test_delta_conjugation_sends_generators_to_generators():
@@ -161,6 +174,76 @@ def test_budget_guard():
                        r"12 letters exceeds the letter budget 10$"):
         eng.normal_form([("s", 6), ("t", 6)])
     assert eng.normal_form([("s", 5)]).canonical_length == 5
+
+
+# -- multiplying normal forms, against the normal form of the whole word ------
+
+ORACLE_TYPES = [("A", 3, None), ("B", 4, None), ("D", 5, None), ("F", 4, None),
+                ("H", 3, None), ("H", 4, None), ("E", 6, None), ("E", 7, None),
+                ("E", 8, None), ("I", 2, 7)]
+
+
+def _mixed_word(rng, d):
+    """A seeded word of letters with exponents +-1 and +-2, now and then with
+    Delta^+-1 spliced in, so that odd and negative infima both occur."""
+    word = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.random() < 0.3:
+            word += delta_word(d, d.vertices, rng.choice((-1, 1)))
+        word += [(rng.choice(d.vertices), rng.choice((-2, -1, 1, 2)))
+                 for _ in range(rng.randrange(6))]
+    return word
+
+
+@pytest.mark.parametrize("fam,n,p", ORACLE_TYPES)
+def test_multiply_matches_the_normal_form_of_the_concatenation(fam, n, p):
+    d = type_diagram(fam, n, p)
+    eng = ArtinEngine(build_group(d))
+    group = eng.w
+    rng = random.Random("multiply:%s%d:%s" % (fam, n, p))
+    right_infs, mixed = set(), 0
+    for _ in range(110):
+        w1, w2 = _mixed_word(rng, d), _mixed_word(rng, d)
+        mixed += len({e > 0 for _, e in w1 + w2}) == 2
+        a, b = eng.normal_form(w1), eng.normal_form(w2)
+        product = eng.multiply(a, b)
+        assert product == eng.normal_form(w1 + w2), (w1, w2)
+        for u, v in zip(product.canon, product.canon[1:]):
+            assert _left_descents(group, v) <= _right_descents(group, u)
+        right_infs.add(b.inf)
+    # at least 100 mixed-sign pairs per type, and the twist tau^j(A) is
+    # exercised: odd and negative j both occur
+    assert mixed >= 100
+    assert any(j % 2 for j in right_infs) and any(j < 0 for j in right_infs)
+
+
+def _connected_subsets(d, largest):
+    return [t for k in range(1, largest + 1) for t in combinations(d.vertices, k)
+            if len(irreducible_components(d, t)) == 1]
+
+
+@pytest.mark.parametrize("fam,n,p", ORACLE_TYPES)
+def test_commutes_matches_normal_forms_of_both_orders(fam, n, p):
+    d = type_diagram(fam, n, p)
+    eng = ArtinEngine(build_group(d))
+
+    def from_scratch(w1, w2):
+        return eng.normal_form(w1 + w2) == eng.normal_form(w2 + w1)
+
+    # Delta_T^2 against each generator: it commutes with x_s exactly when s
+    # is in T or every label between s and T is 2
+    for t in _connected_subsets(d, 3) + [tuple(d.vertices)]:
+        delta_sq = delta_word(d, t, 2)
+        for s in d.vertices:
+            expected = s in t or all(d.m(s, x) == 2 for x in t)
+            assert eng.commutes(delta_sq, [(s, 1)]) == expected, (t, s)
+            assert from_scratch(delta_sq, [(s, 1)]) == expected, (t, s)
+    rng = random.Random("commutes:%s%d:%s" % (fam, n, p))
+    for _ in range(20):
+        w1, w2 = _mixed_word(rng, d), _mixed_word(rng, d)
+        for pair in ((w1, w2), (w1, w1 + w1), (w1, inverse_word(w1)),
+                     (w1, delta_word(d, d.vertices, rng.choice((-2, 2))) + w1)):
+            assert eng.commutes(*pair) == from_scratch(*pair), pair
 
 
 # -- brute-force oracle: positive-word equality in the dihedral Artin monoid --
@@ -305,7 +388,7 @@ def test_round_trip_across_types(spec):
             back = back + [(g, 1) for g in eng.w.reduced_word(simple)]
         assert eng.normal_form(back) == nf
         for u, v in zip(nf.canon, nf.canon[1:]):
-            assert eng.w.left_descents(v) <= eng.w.right_descents(u)
+            assert _left_descents(eng.w, v) <= _right_descents(eng.w, u)
 
 
 # -- independent oracle: the reduced Burau representation of the 3-strand

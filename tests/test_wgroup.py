@@ -274,7 +274,8 @@ def test_compose_is_a_gather_and_associative(fam, n, p):
         for x in g.gens:
             word = g.reduced_word(u)
             assert g.mul_gen(u, x) == g.word_to_element(word + (x,))
-            assert g.gen_mul(x, u) == g.word_to_element((x,) + word)
+            assert g.compose(g.simple(x), u) == g.word_to_element((x,) + word)
+        assert g.compose(g.inverse(u), u) == g.identity == g.compose(u, g.inverse(u))
 
 
 def test_trivial_group_composes_and_normalises():
