@@ -23,11 +23,18 @@ from .wgroup import build_group
 
 
 def _load_diagram(spec):
-    """A diagram from a file path or inline source text."""
+    """A diagram from a file path or inline source text.  Every line of
+    diagram text has two tokens or more, so a single token that does not
+    parse names a file that is missing."""
     if os.path.exists(spec):
         with open(spec) as fh:
             return parse_diagram(fh.read())
-    return parse_diagram(spec)
+    try:
+        return parse_diagram(spec)
+    except DiagramError:
+        if len(spec.split()) == 1:
+            raise DiagramError("no such file %r" % spec) from None
+        raise
 
 
 def _emit(args, doc, text):

@@ -11,7 +11,7 @@ constraint the accompanying lemmas state.  No surface topology is computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 
 from .diagram import CoxeterDiagram, DiagramError, sort_key
@@ -34,13 +34,12 @@ from .raag import (
 FAMILIES = ("An", "Dn", "E6F", "E8F", "E7FIG")
 
 
-@dataclass(frozen=True)
-class CurveSystem:
-    family: str
-    rank: int
-    diagram: CoxeterDiagram  # the ambient Artin diagram the subsets live in
-    complex: FlagComplex  # the curves, adjacent when disjoint
-    boundary: dict  # frozenset subset -> tuple of curve names
+class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundary")):
+    """`diagram` is the ambient Artin diagram the subsets live in, `complex`
+    the FlagComplex of the curves, adjacent when disjoint, and `boundary`
+    maps each frozenset subset to its tuple of curve names."""
+
+    __slots__ = ()
 
     @property
     def curves(self):
@@ -380,12 +379,11 @@ def build_system(family, rank=None):
 
 # -- reference choices --------------------------------------------------------
 
-@dataclass
-class ReferenceResult:
-    kind: str  # "choice" or "split"
-    by_subset: dict  # subset_name -> curve (for "choice"), or per side
-    verdict_reason: str
-    global_pp_found: bool | None = None
+#: `kind` is "choice" or "split"; `by_subset` maps subset_name -> curve (for
+#: "choice"), or per side
+ReferenceResult = namedtuple("ReferenceResult",
+                             "kind by_subset verdict_reason global_pp_found",
+                             defaults=(None,))
 
 
 def reference_choice(system):
@@ -433,12 +431,13 @@ def reference_choice(system):
 
 # -- the two verification set pieces ------------------------------------------
 
-@dataclass
-class KernelReport:
-    raag_nontrivial: bool
-    artin_nontrivial: bool
-    curve_raag_trivial: bool
-    detail: dict = field(default_factory=dict)
+class KernelReport(namedtuple("KernelReport",
+                               "raag_nontrivial artin_nontrivial curve_raag_trivial detail")):
+    __slots__ = ()
+
+    def __new__(cls, raag_nontrivial, artin_nontrivial, curve_raag_trivial, detail=None):
+        return super().__new__(cls, raag_nontrivial, artin_nontrivial, curve_raag_trivial,
+                               {} if detail is None else detail)
 
 
 def e7_kernel_word_z(power=1):
@@ -494,12 +493,13 @@ def e7_kernel_check(power=1):
     )
 
 
-@dataclass
-class LanternReport:
-    artin_commute: bool
-    raag_commute: bool
-    retraction_pair: tuple
-    detail: dict = field(default_factory=dict)
+class LanternReport(namedtuple("LanternReport",
+                                "artin_commute raag_commute retraction_pair detail")):
+    __slots__ = ()
+
+    def __new__(cls, artin_commute, raag_commute, retraction_pair, detail=None):
+        return super().__new__(cls, artin_commute, raag_commute, retraction_pair,
+                               {} if detail is None else detail)
 
 
 def _puncture_interval_gens(a, b):

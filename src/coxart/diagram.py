@@ -6,7 +6,7 @@ Labels are integers >= 3 or INF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 INF = float("inf")
 
@@ -37,23 +37,55 @@ def sort_key(name):
     return (len(name), name)
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
-    """A Coxeter diagram: ordered vertex names plus labels m(s,t) != 2."""
+class FrozenRecord(object):
+    """Base of an immutable record whose fields are plain instance
+    attributes, which are faster to read than those of a tuple: closed to
+    assignment, and equal to a record of its own class, hashed and shown by
+    the fields named in `_fields`.  Its `__init__` sets each attribute with
+    `object.__setattr__`; going through `__dict__` instead would slow down
+    every later read."""
 
-    vertices: tuple
-    labels: dict = field(default_factory=dict)
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._key())))
+
+
+class CoxeterDiagram(FrozenRecord):
+    """A Coxeter diagram: ordered vertex names plus labels m(s,t) != 2.
+    Its labels dict makes it unhashable."""
+
+    _fields = ("vertices", "labels")
+
+    def __init__(self, vertices, labels=None):
+        labels = {} if labels is None else labels
+        if len(set(vertices)) != len(vertices):
             raise DiagramError("duplicate vertex name")
-        for pair, m in self.labels.items():
+        for pair, m in labels.items():
             if len(pair) != 2:
                 raise DiagramError("self-label or malformed edge %r" % (pair,))
-            if not all(v in self.vertices for v in pair):
+            if not all(v in vertices for v in pair):
                 raise DiagramError("edge with unknown vertex %r" % (pair,))
             if m != INF and (not isinstance(m, int) or m < 3):
                 raise DiagramError("label must be an integer >= 3 or inf, got %r" % (m,))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "labels", labels)
 
     def m(self, a, b):
         """Coxeter label m(a,b); 2 when no edge is stored, 1 on the diagonal."""
@@ -125,14 +157,14 @@ def irreducible_components(diagram, subset=None):
     return comps
 
 
-@dataclass(frozen=True)
-class ComponentType:
-    """Classified irreducible finite type with vertices in standard order."""
+class ComponentType(namedtuple("ComponentType", "family rank order p", defaults=(0,))):
+    """Classified irreducible finite type with vertices in standard order.
 
-    family: str  # one of A B D E F G H I
-    rank: int
-    order: tuple  # vertices in the standard enumeration for the family
-    p: int = 0  # dihedral label, only for family I
+    `family` is one of A B D E F G H I, `order` lists the vertices in the
+    standard enumeration for the family, and `p` is the dihedral label,
+    only for family I."""
+
+    __slots__ = ()
 
     @property
     def tag(self):
@@ -160,10 +192,8 @@ class ComponentType:
         return n // 2
 
 
-@dataclass(frozen=True)
-class FiniteTypeReport:
-    is_spherical: bool
-    components: tuple  # ComponentType per spherical component, () if not spherical
+#: `components` holds a ComponentType per spherical component, () if not spherical
+FiniteTypeReport = namedtuple("FiniteTypeReport", "is_spherical components")
 
 
 def _classify_rank2(diagram, a, b):

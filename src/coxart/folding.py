@@ -8,7 +8,7 @@ deterministic so folds are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .diagram import (
@@ -21,15 +21,13 @@ from .diagram import (
 from .nerve import subset_name
 
 
-@dataclass(frozen=True)
-class FoldedDiagram:
-    source: CoxeterDiagram
-    target: CoxeterDiagram
-    fibers: dict  # generator -> tuple of fiber vertex names
-    fiber_size: int
-    # per labeled edge: the fiber-index blocks, each wired as one copy of
-    # the A_(m-1) x A_(m-1) diagram
-    block_layout: dict
+class FoldedDiagram(namedtuple("FoldedDiagram",
+                                "source target fibers fiber_size block_layout")):
+    """`fibers` maps each generator to the tuple of its fiber vertex names;
+    `block_layout` gives, per labeled edge, the fiber-index blocks, each
+    wired as one copy of the A_(m-1) x A_(m-1) diagram."""
+
+    __slots__ = ()
 
     def preimage(self, subset):
         out = set()
@@ -183,11 +181,7 @@ def f_word(images, raag_word):
     return [(c, exp) for name, exp in raag_word for c in images[name]]
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    subset: frozenset
-    tag: str
-    coxeter_number: int
+ComponentReport = namedtuple("ComponentReport", "subset tag coxeter_number")
 
 
 def component_report(fold):

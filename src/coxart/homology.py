@@ -4,7 +4,7 @@ image of a short pure word misses a longest hyperplane."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import DiagramError, type_diagram
@@ -12,14 +12,14 @@ from .garside import check_budget, letter_budget, word_length
 from .wgroup import build_group
 
 
-@dataclass(frozen=True)
-class H1Vector:
+class H1Vector(namedtuple("H1Vector", "coeffs")):
     """Finitely supported vector over the reflection basis e_r.
 
-    Coordinates are keyed by the positive root index of the reflection.
+    Coordinates are keyed by the positive root index of the reflection;
+    `coeffs` is the sorted tuple of (root_index, coefficient).
     """
 
-    coeffs: tuple  # sorted tuple of (root_index, coefficient)
+    __slots__ = ()
 
     @staticmethod
     def from_dict(d):
@@ -123,12 +123,7 @@ def longest_hyperplane_indices(m):
     return (m // 2 - 1, m // 2)
 
 
-@dataclass
-class AuditReport:
-    ok: bool
-    words_scanned: int
-    pure_words: int
-    failures: list
+AuditReport = namedtuple("AuditReport", "ok words_scanned pure_words failures")
 
 
 def longest_hyperplane_audit(m, exponent_bound=3):

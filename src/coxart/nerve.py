@@ -3,7 +3,7 @@ word-level substitution z_T -> Delta_T^(2N) into the Artin group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import (
     DiagramError,
@@ -56,12 +56,11 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     return out
 
 
-@dataclass(frozen=True)
-class Nerve:
-    """Simplicial complex of spherical subsets; generally not flag."""
+class Nerve(namedtuple("Nerve", "diagram simplices")):
+    """Simplicial complex of spherical subsets; generally not flag.
+    `simplices` holds every nonempty spherical subset, as frozensets."""
 
-    diagram: object
-    simplices: tuple  # frozensets, every nonempty spherical subset
+    __slots__ = ()
 
     def vertices(self):
         return tuple(sorted((v for s in self.simplices if len(s) == 1 for v in s),
@@ -84,17 +83,15 @@ def nerve(diagram, max_rank=DEFAULT_MAX_RANK):
     return Nerve(diagram, tuple(subs))
 
 
-@dataclass(frozen=True)
-class SubdividedNerve:
+class SubdividedNerve(namedtuple("SubdividedNerve", "diagram complex vertex_subsets")):
     """Davis-Huang partial barycentric subdivision as a flag complex.
 
     Vertices are the irreducible spherical subsets; two are joined iff one
-    contains the other or all cross labels are 2.
+    contains the other or all cross labels are 2.  `vertex_subsets` maps
+    each vertex name to its frozenset of generators.
     """
 
-    diagram: object
-    complex: FlagComplex
-    vertex_subsets: dict  # name -> frozenset of generators
+    __slots__ = ()
 
     def to_json(self):
         doc = self.complex.to_json()

@@ -10,9 +10,9 @@ so equality of group elements is equality of canonical forms.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .diagram import sort_key
+from .diagram import FrozenRecord, sort_key
 
 
 class RaagError(ValueError):
@@ -27,18 +27,16 @@ def bit_positions(mask):
         mask ^= low
 
 
-@dataclass(frozen=True, init=False)
-class FlagComplex:
+class FlagComplex(FrozenRecord):
     """A flag simplicial complex, stored as its graph (simplices = cliques).
 
     `vertices` are kept in `sort_key` order; `neighbours[i]` is the bitmask
     of the vertices adjacent to `vertices[i]`, bit j standing for
-    `vertices[j]`; `edges` is derived from it on demand.
+    `vertices[j]`; `edges` is derived from it on demand.  `_index` maps each
+    vertex to its position.
     """
 
-    vertices: tuple
-    neighbours: tuple
-    _index: dict = field(repr=False, compare=False)  # vertex -> position
+    _fields = ("vertices", "neighbours")
 
     def __init__(self, vertices, edges):
         """`edges` is an iterable of 2-element collections of vertices."""
@@ -323,27 +321,25 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
 
 # -- word systems and Property PP --------------------------------------------
 
-@dataclass
-class WordSystem:
+class WordSystem(object):
     """Words w_sigma attached to simplices of a flag complex.
 
     Each nontrivial word uses a nontrivial power of every vertex of its
-    simplex, with all exponents of one sign.
+    simplex, with all exponents of one sign.  `words` maps each frozenset
+    simplex to its syllable list, nontrivial entries only.
     """
 
-    complex: FlagComplex
-    words: dict  # frozenset simplex -> syllable list (nontrivial entries only)
-
-    def __post_init__(self):
+    def __init__(self, complex, words):
+        self.complex = complex
         clean = {}
-        for simplex, word in self.words.items():
+        for simplex, word in words.items():
             simplex = frozenset(simplex)
             word = normalize_syllables(word)
             if not word:
                 continue
-            if not all(v in self.complex for v in simplex):
+            if not all(v in complex for v in simplex):
                 raise RaagError("simplex %s not in complex" % sorted(simplex))
-            if not self.complex.is_clique(simplex):
+            if not complex.is_clique(simplex):
                 raise RaagError("%s is not a simplex" % sorted(simplex))
             support = {v for v, _ in word}
             if support != simplex:
@@ -385,11 +381,10 @@ class WordSystem:
         )
 
 
-@dataclass(frozen=True)
-class ChoiceMap:
+class ChoiceMap(namedtuple("ChoiceMap", "assignment")):
     """A Property PP witness: simplex -> representative vertex."""
 
-    assignment: dict
+    __slots__ = ()
 
     def __getitem__(self, simplex):
         return self.assignment[frozenset(simplex)]
@@ -499,13 +494,9 @@ def avoidance_check(system, l0_vertices, choice):
     return True
 
 
-@dataclass(frozen=True)
-class PPVerdict:
-    certified: bool
-    reason: str
-    choice: ChoiceMap | None = None
-    split: tuple | None = None  # (choice1, choice2) for a certified split
-    conclusion: str = ""
+#: `split` is (choice1, choice2) for a certified split
+PPVerdict = namedtuple("PPVerdict", "certified reason choice split conclusion",
+                       defaults=(None, None, ""))
 
 
 def _describe_subgroup(system):
@@ -560,13 +551,9 @@ def generalized_pp_check(system, l1_vertices, l2_vertices):
 
 # -- bounded injectivity certificates ----------------------------------------
 
-@dataclass
-class InjectivityReport:
-    ok: bool
-    words_checked: int
-    slow_path_checked: int
-    violation: list | None = None
-    detail: str = ""
+InjectivityReport = namedtuple(
+    "InjectivityReport", "ok words_checked slow_path_checked violation detail",
+    defaults=(None, ""))
 
 
 def verify_injectivity_bounded(

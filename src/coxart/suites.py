@@ -9,10 +9,9 @@ A suite is a generator whose keyword parameters are its options; it yields
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 
 from .curves import (
@@ -66,18 +65,15 @@ RANK4_TYPES = (
 )
 
 
-@dataclass
-class CheckResult:
-    id: str
-    status: str  # pass / fail / skipped
-    elapsed: float
-    detail: str = ""
+#: `status` is pass, fail or skipped
+CheckResult = namedtuple("CheckResult", "id status elapsed detail", defaults=("",))
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    checks: list = field(default_factory=list)
+class SuiteResult(namedtuple("SuiteResult", "suite checks")):
+    __slots__ = ()
+
+    def __new__(cls, suite, checks=None):
+        return super().__new__(cls, suite, [] if checks is None else checks)
 
     @property
     def ok(self):
@@ -812,7 +808,9 @@ def run_suite(name, config=None):
         raise KeyError("unknown suite %r (choose from %s)" % (name, SUITES))
     suite = _SUITE_FUNCS[name]
     config = config or {}
-    unread = sorted(set(config) - set(inspect.signature(suite).parameters))
+    code = suite.__code__
+    params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    unread = sorted(set(config) - set(params))
     if unread:
         raise ValueError("suite %s reads no option %r" % (name, unread[0]))
     result = SuiteResult(name)

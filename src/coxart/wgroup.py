@@ -43,18 +43,10 @@ def phi_sign(x):
     return (1 if u > 0 else -1) if u * u > 5 * b * b else (1 if b > 0 else -1)
 
 
-def _lex_compare(r, s):
-    """Exact lexicographic comparison of two Z[phi] coefficient tuples."""
-    for (a, b), (c, d) in zip(r, s):
-        sign = phi_sign((a - c, b - d))
-        if sign:
-            return sign
-    return 0
-
-
-#: Cartan entry <alpha_i, alpha_j^vee> for the label m(i, j); m = 4 gives -2
-#: instead when alpha_j is the short root of the pair
-_CARTAN = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 4: (-1, 0), 5: (0, -1)}
+#: Cartan entry <alpha_i, alpha_j^vee> for a label m(i, j) > 2, the nonzero
+#: entries off the diagonal; m = 4 gives -2 instead when alpha_j is the short
+#: root of the pair
+_CARTAN = {3: (-1, 0), 4: (-1, 0), 5: (0, -1)}
 
 
 def _root_model(family, diagram):
@@ -63,41 +55,48 @@ def _root_model(family, diagram):
 
     Roots are coefficient tuples in the simple-root basis, read off the
     Cartan matrix of `diagram`; positive roots are sorted lexicographically
-    by their coefficients.  Each s_j(root) is recorded as the walk meets the
-    root, so the roots are reflected once.
+    by their exact coefficient values.  Each s_j(root) is recorded as the
+    walk meets the root, so the roots are reflected once.
     """
     names = diagram.vertices
     n = len(names)
     # the only per-family data: which simple roots are short
     short = {"B": (n - 1,), "F": (2, 3)}.get(family, ())
 
-    def entry(i, j):
-        m = diagram.m(names[i], names[j])
-        return (-2, 0) if m == 4 and j in short else _CARTAN[m]
+    def cartan_column(j):
+        """(i, e, phi*e) for the nonzero off-diagonal entries e of column j,
+        so that (c + d phi)*e = c*e + d*(phi*e)."""
+        out = []
+        for i in range(n):
+            m = diagram.m(names[i], names[j])
+            if m in _CARTAN:
+                e = (-2, 0) if m == 4 and j in short else _CARTAN[m]
+                out.append((i,) + e + phi_mul((0, 1), e))
+        return out
 
-    # the nonzero entries of each column of the Cartan matrix
-    columns = [[(i, entry(i, j)) for i in range(n) if diagram.m(names[i], names[j]) != 2]
-               for j in range(n)]
-
-    def reflect(j, root):
-        """s_j(root) = root - <root, alpha_j^vee> alpha_j."""
-        c0 = c1 = 0
-        for i, c in columns[j]:
-            p0, p1 = phi_mul(root[i], c)
-            c0 += p0
-            c1 += p1
-        a, b = root[j]
-        return root[:j] + ((a - c0, b - c1),) + root[j + 1:]
-
+    columns = [cartan_column(j) for j in range(n)]
     simples = [tuple((int(i == j), 0) for i in range(n)) for j in range(n)]
     found = list(simples)
     seen = set(simples)
     images = {}  # positive root -> its images under s_0 .. s_{n-1}
     for root in found:
-        images[root] = row = [reflect(j, root) for j in range(n)]
-        for j, image in enumerate(row):
+        images[root] = row = []
+        for j, col in enumerate(columns):
+            # s_j(root) = root - <root, alpha_j^vee> alpha_j changes only
+            # coordinate j; the diagonal entry of the pairing is 2
+            a, b = root[j]
+            p0, p1 = a + a, b + b
+            for i, e0, e1, f0, f1 in col:
+                c, d = root[i]
+                p0 += c * e0 + d * f0
+                p1 += c * e1 + d * f1
+            if not (p0 or p1):
+                row.append(root)
+                continue
+            image = root[:j] + ((a - p0, b - p1),) + root[j + 1:]
+            row.append(image)
             # positive, since root != alpha_j
-            if root != simples[j] and image not in seen:
+            if image not in seen and root != simples[j]:
                 seen.add(image)
                 found.append(image)
     expected = ComponentType(family, n, names).reflection_count
@@ -105,22 +104,30 @@ def _root_model(family, diagram):
         "unexpected root count for %s_%d: %d" % (family, n, len(found))
     )
 
-    positives = sorted(found, key=cmp_to_key(_lex_compare))
+    # rank the few distinct coefficient values exactly, then sort the roots
+    # by their tuples of ranks
+    values = sorted({c for root in found for c in root},
+                    key=cmp_to_key(lambda x, y: phi_sign((x[0] - y[0], x[1] - y[1]))))
+    rank_of = dict(zip(values, range(len(values)))).__getitem__
+    positives = sorted(found, key=lambda root: tuple(map(rank_of, root)))
     n_pos = len(positives)
     index = {root: i for i, root in enumerate(positives)}
     alphas = tuple(index[a] for a in simples)
+    for j, root in enumerate(simples):
+        index[images[root][j]] = n_pos + alphas[j]  # s_j(alpha_j) = -alpha_j
+    negate = (*range(n_pos, 2 * n_pos), *range(n_pos))  # root -> -root
     perms = []
-    for j, a in enumerate(alphas):
-        # s_j(alpha_j) = -alpha_j, and s_j(-root) = -s_j(root)
-        top = [n_pos + a if i == a else index[images[root][j]]
-               for i, root in enumerate(positives)]
-        perms.append(tuple(top + [k + n_pos if k < n_pos else k - n_pos for k in top]))
+    for column in zip(*(images[root] for root in positives)):
+        top = tuple(map(index.__getitem__, column))
+        perms.append(top + tuple(map(negate.__getitem__, top)))  # s_j(-root) = -s_j(root)
 
-    # w0: n_pos times, multiply by a simple reflection that lengthens
+    # w0: multiply by simple reflections that lengthen until none does
     w0 = tuple(range(2 * n_pos))
-    for _ in range(n_pos):
-        j = next(j for j, a in enumerate(alphas) if w0[a] < n_pos)
-        w0 = itemgetter(*perms[j])(w0)
+    lengthen = [(a, itemgetter(*perm)) for a, perm in zip(alphas, perms)]
+    while min(w0[:n_pos]) < n_pos:
+        for a, times in lengthen:
+            if w0[a] < n_pos:
+                w0 = times(w0)
     return tuple(perms), alphas, w0
 
 

@@ -411,3 +411,19 @@ def test_badpp_no_split_fails_on_an_unexpected_error(monkeypatch):
     checks = {c.id: c for c in suites.run_suite("pp-suite").checks}
     check = checks["badpp-no-split-certifies"]
     assert (check.status, check.detail) == ("fail", "TypeError: planted fault")
+
+
+def test_missing_diagram_file_is_reported_as_missing(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-diagram.txt")
+    for argv in (("nf", "--group", missing, "--word", "s1"),
+                 ("h1", "--group", missing, "--word", "s1^2"),
+                 ("fold", "--diagram", missing),
+                 ("export", "--what", "nerve", "--diagram", missing)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: no such file %r\n" % missing
+    # text of two tokens or more is still parsed, and named when it fails
+    code, _, err = run(capsys, "nf", "--group", "vertex", "--word", "s1")
+    assert (code, err) == (2, "error: no such file 'vertex'\n")
+    code, _, err = run(capsys, "nf", "--group", "vertex a b", "--word", "s1")
+    assert (code, err) == (2, "error: cannot parse line 'vertex a b'\n")
