@@ -69,7 +69,8 @@ class FrozenRecord(object):
 
 class CoxeterDiagram(FrozenRecord):
     """A Coxeter diagram: ordered vertex names plus labels m(s,t) != 2.
-    Its labels dict makes it unhashable."""
+    Its labels dict makes it unhashable.  The neighbours of each vertex are
+    read off the labels once, when the diagram is made."""
 
     _fields = ("vertices", "labels")
 
@@ -86,6 +87,11 @@ class CoxeterDiagram(FrozenRecord):
                 raise DiagramError("label must be an integer >= 3 or inf, got %r" % (m,))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "labels", labels)
+        near = {v: set() for v in vertices}
+        for a, b in labels:
+            near[a].add(b)
+            near[b].add(a)
+        object.__setattr__(self, "_near", near)
 
     def m(self, a, b):
         """Coxeter label m(a,b); 2 when no edge is stored, 1 on the diagonal."""
@@ -105,14 +111,9 @@ class CoxeterDiagram(FrozenRecord):
         return out
 
     def neighbors(self, v, subset=None):
-        keep = set(self.vertices if subset is None else subset)
-        out = set()
-        for pair in self.labels:
-            if v in pair:
-                (w,) = pair - {v}
-                if w in keep:
-                    out.add(w)
-        return out
+        """The vertices of `subset` (default: all) joined to v by a label."""
+        return self._near.get(v, set()).intersection(
+            self.vertices if subset is None else subset)
 
     def induced(self, subset):
         """Full subdiagram on `subset`, vertex order inherited."""

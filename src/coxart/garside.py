@@ -5,15 +5,18 @@ each simple a W-permutation.  This solves the word problem: two words are
 equal iff their (inf, canon) pairs coincide.
 
 A word is read in maximal runs of same-sign letters whose product in W stays
-reduced; each run enters as one simple (a negative run as Delta^-1 times a
-simple), so Delta_T^k costs k factors.  One backward sweep of pairwise
+reduced, each letter one step through its generator's gather (WGroup.times);
+each run enters as one simple (a negative run as Delta^-1 times a simple),
+so Delta_T^k costs k factors.  One backward sweep of pairwise
 left-weighting restores the normal form after each factor (Epstein et al.,
 Word Processing in Groups, ch. 9).  A pair u|v is left-weighted by moving
 onto u the longest prefix of v that keeps u simple; that prefix is grown by
 root lookups, with no descent sets.  Two normal forms multiply without
 re-reading either word, Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, which
 is how two words are tested for commuting.  The budget bounds the letters of
-a word.
+a word.  The word of Delta_T is the greedy word of the longest element of
+W_T, read off the cached type models (wgroup.longest_word), so building it
+builds no group.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 
 from .diagram import DiagramError, require_irreducible_spherical
 from .raag import raag_inverse
-from .wgroup import WGroup
+from .wgroup import longest_word
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
 _BUDGET_ENV = "COXART_LETTER_BUDGET"
@@ -134,8 +137,9 @@ class ArtinEngine(object):
             match = [h for h in w.gens if w.simple(h) == image]
             assert len(match) == 1, "conjugation by Delta must permute generators"
             self._tau_gen[g] = match[0]
-        # (index of alpha_g, s_g) for each generator, for _fix_pair
-        self._gen_roots = [(w.alpha_index(g), w.simple(g)) for g in w.gens]
+        # generator -> (index of alpha_g, gather of s_g, s_g), for push_word
+        # and _fix_pair
+        self._steps = {g: (w.alpha_index(g), w.times[g], w.simple(g)) for g in w.gens}
 
     def tau(self, u):
         """Delta^-1 u Delta on simples, i.e. conjugation by the longest element."""
@@ -202,17 +206,18 @@ class _NFState(object):
         w = eng.w
         eng.check_letters(word_length(word))
         n = w.n_pos
+        steps = eng._steps
         run, sign = w.identity, 0
         for g, e in word:
-            if g not in w._simple:
+            if g not in steps:
                 raise DiagramError("unknown generator %r" % (g,))
+            alpha, times, _ = steps[g]
             step = 1 if e > 0 else -1
-            alpha = w.alpha_index(g)
             for _ in range(abs(e)):
                 if step != sign or run[alpha] >= n:
                     self._push_run(run, sign)
                     run, sign = w.identity, step
-                run = w.mul_gen(run, g)
+                run = times(run)
         self._push_run(run, sign)
 
     def _push_run(self, run, sign):
@@ -256,7 +261,8 @@ class _NFState(object):
         descent of m^-1 v, i.e. v^-1 sends m(alpha_h) negative, i.e.
         m(alpha_h) is the image under v of a negative root; and u m s_h stays
         simple when u m sends alpha_h positive.  The left-weighted pair is
-        unique, so the order of the moves does not matter.
+        unique, so the order of the moves does not matter.  A single
+        generator is its own inverse, so m = s_h needs no inversion.
         """
         eng = self.engine
         w = eng.w
@@ -265,18 +271,20 @@ class _NFState(object):
         u, v = seq[i], seq[i + 1]
         v_neg = set(v[n:])
         m = w.identity
+        moved = []
         grown = True
         while grown:
             grown = False
-            for alpha, s in eng._gen_roots:
+            for alpha, times, s in eng._steps.values():
                 r = m[alpha]
                 if r in v_neg and u[r] < n:
-                    m = w.compose(m, s)
+                    m = times(m)
+                    moved.append(s)
                     grown = True
-        if m == w.identity:
+        if not moved:
             return False
         seq[i] = w.compose(u, m)
-        rest = w.compose(w.inverse(m), v)
+        rest = w.compose(moved[0] if len(moved) == 1 else w.inverse(m), v)
         if rest == w.identity:
             del seq[i + 1]
         else:
@@ -298,8 +306,7 @@ def delta_word(diagram, subset, power=1):
     T must be a spherical subset; it sits inside any ambient Artin group
     containing those generators (special subgroups embed).
     """
-    sub = WGroup(diagram, subset)
-    lift = [(g, 1) for g in sub.reduced_word(sub.w0)]
+    lift = [(g, 1) for g in longest_word(diagram, subset)]
     if power >= 0:
         return lift * power
     return raag_inverse(lift) * (-power)

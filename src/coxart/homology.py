@@ -1,6 +1,12 @@
 """The abelianization of the pure Artin group: Z^R via signed hyperplane
 crossings, linear independence certificates, and the dihedral audit that the
-image of a short pure word misses a longest hyperplane."""
+image of a short pure word misses a longest hyperplane.
+
+A word's class is read in one walk: each syllable adds its exponent on one
+hyperplane, and the prefix in W steps through the generator's gather
+(WGroup.times) once per odd syllable, so purity is read off the final
+prefix.  A reflection's label is its greedy reduced word; in rank 2 that
+word is read off in closed form."""
 
 from __future__ import annotations
 
@@ -40,25 +46,31 @@ def is_pure(group, word):
 def h1_image(group, word, budget=None):
     """Class of a pure Artin word in H_1 of the pure Artin group.
 
-    Walks the word letter by letter; the letter x_s^(+-1) after a prefix
-    mapping to w crosses the hyperplane of the reflection w s w^-1, i.e.
-    the one keyed by the positive root w(alpha_s).  Every hyperplane is
-    crossed an even number of times for a pure word, and the class is
-    half of the accumulated signed count.  A word of more letters than the
-    letter budget raises BudgetExceeded before the walk.
+    Walks the word once, one syllable at a time; the letter x_s^(+-1)
+    after a prefix mapping to w crosses the hyperplane of the reflection
+    w s w^-1, i.e. the one keyed by the positive root w(alpha_s).  Since
+    w s (alpha_s) = -w(alpha_s), all letters of a syllable x_s^e cross that
+    one hyperplane, so it adds e there, and the prefix steps through the
+    gather of s only when e is odd.  The word is pure when the final prefix
+    is the identity.  Every hyperplane is crossed an even number of times
+    for a pure word, and the class is half of the accumulated signed
+    count.  A word of more letters than the letter budget raises
+    BudgetExceeded before the walk, an unknown letter DiagramError.
     """
     check_budget("h1 image", word_length(word), letter_budget(budget))
-    if not is_pure(group, word):
-        raise DiagramError("word is not pure")
     n = group.n_pos
     acc = {}
     prefix = group.identity
     for g, e in word:
-        step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            root = prefix[group.alpha_index(g)] % n
-            acc[root] = acc.get(root, 0) + step
-            prefix = group.mul_gen(prefix, g)
+        times = group.times.get(g)
+        if times is None:
+            raise DiagramError("unknown generator %r" % (g,))
+        root = prefix[group.alpha_index(g)] % n
+        acc[root] = acc.get(root, 0) + e
+        if e % 2:
+            prefix = times(prefix)
+    if prefix != group.identity:
+        raise DiagramError("word is not pure")
     for r, c in acc.items():
         if c % 2:
             raise AssertionError(

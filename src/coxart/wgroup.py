@@ -7,11 +7,18 @@ from its Cartan matrix in simple-root coordinates.  Either way an
 irreducible type contributes only its simple reflections, the indices of
 its simple roots and its longest element, kept in a bounded cache; every
 other reflection is derived from them by WGroup.reflections().
+
+A group builds one gather per generator (an itemgetter over s_g), and every
+letter of a word steps through it: w -> w s_g is one C-level call.  The
+greedy word of the longest element of a spherical subset, which spells
+Delta_T, is read off the type models, one cached word per component and
+vertex ranking, with no group built for the subset.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
+from heapq import merge
 from operator import itemgetter
 
 from .diagram import (
@@ -154,6 +161,54 @@ def _type_model(family, rank, p):
     return _root_model(family, diagram)
 
 
+def _greedy_word(inv, steps, n):
+    """The greedy smallest-left-descent word of the element w whose inverse
+    is `inv`, as the labels of `steps`: (simple-root index, gather of s,
+    label) for each generator, smallest first.  g is a left descent of w
+    when w^-1 sends alpha_g negative, and peeling s_g off the left of w
+    takes w^-1 to w^-1 s_g."""
+    out = []
+    while True:
+        step = next((step for step in steps if inv[step[0]] >= n), None)
+        if step is None:
+            return out
+        out.append(step[2])
+        inv = step[1](inv)
+
+
+@lru_cache(maxsize=128)  # all suites and benchmark rounds together use 32
+def _component_longest_word(family, rank, p, ranking):
+    """The greedy word of the longest element of one irreducible type, as
+    local generator indices, when `ranking` lists the local indices from
+    the smallest vertex name to the largest."""
+    perms, alphas, w0 = _type_model(family, rank, p)
+    steps = [(alphas[i], itemgetter(*perms[i]), i) for i in ranking]
+    return tuple(_greedy_word(w0, steps, len(w0) // 2))  # w0 is an involution
+
+
+def _spherical_components(diagram, subset):
+    """The subset in sort_key order and its irreducible components; errors
+    unless it is spherical."""
+    subset = tuple(sorted(diagram.vertices if subset is None else subset,
+                          key=sort_key))
+    report = finite_type(diagram, subset)
+    if not report.is_spherical:
+        raise DiagramError("subset %s is not spherical" % (list(subset),))
+    return subset, report.components
+
+
+def longest_word(diagram, subset):
+    """The greedy smallest-left-descent word of the longest element of W_T,
+    read off the type models without building W_T.  Its components commute,
+    so the greedy word is their greedy words merged by smallest head."""
+    words = []
+    for c in _spherical_components(diagram, subset)[1]:
+        ranking = tuple(sorted(range(c.rank), key=lambda i: sort_key(c.order[i])))
+        words.append([c.order[i]
+                      for i in _component_longest_word(c.family, c.rank, c.p, ranking)])
+    return tuple(merge(*words, key=sort_key))
+
+
 class WGroup(object):
     """A finite Coxeter group acting on its root index set.
 
@@ -162,15 +217,11 @@ class WGroup(object):
     """
 
     def __init__(self, diagram, subset=None):
-        subset = tuple(sorted(diagram.vertices if subset is None else subset,
-                              key=sort_key))
-        report = finite_type(diagram, subset)
-        if not report.is_spherical:
-            raise DiagramError("subset %s is not spherical" % (list(subset),))
+        subset, components = _spherical_components(diagram, subset)
         self.diagram = diagram
         self.gens = subset
 
-        self.n_pos = sum(c.reflection_count for c in report.components)
+        self.n_pos = sum(c.reflection_count for c in components)
         self.size = 2 * self.n_pos
         self.identity = tuple(range(self.size))
 
@@ -179,13 +230,15 @@ class WGroup(object):
         self._alpha = {}  # index of the simple root of each generator
         self.w0 = self.identity
         offset = 0
-        for c in report.components:
+        for c in components:
             perms, alphas, w0 = _type_model(c.family, c.rank, c.p)
             self._simple.update(
                 zip(c.order, (self._lift(p, offset, self.identity) for p in perms)))
             self._alpha.update(zip(c.order, (offset + a for a in alphas)))
             self.w0 = self._lift(w0, offset, self.w0)
             offset += c.reflection_count
+        #: times[g](w) is w s_g, one gather
+        self.times = {g: itemgetter(*s) for g, s in self._simple.items()}
 
     # -- basic permutation algebra -------------------------------------
 
@@ -212,7 +265,7 @@ class WGroup(object):
 
     def mul_gen(self, w, g):
         """w * s_g (right multiplication by a generator)."""
-        return self.compose(w, self._simple[g])
+        return self.times[g](w)
 
     def inverse(self, w):
         inv = [0] * self.size
@@ -233,24 +286,31 @@ class WGroup(object):
     def word_to_element(self, word):
         """Product of simple reflections, letters applied left to right."""
         w = self.identity
+        times = self.times
         for g in word:
-            if g not in self._simple:
+            step = times.get(g)
+            if step is None:
                 raise DiagramError("unknown generator %r" % (g,))
-            w = self.mul_gen(w, g)
+            w = step(w)
         return w
 
     def reduced_word(self, w):
-        """A reduced word for w, greedy on smallest left descent.  Only w^-1
-        is kept: g is a left descent of w when w^-1 sends alpha_g negative,
-        and peeling s_g off the left of w takes w^-1 to w^-1 s_g."""
+        """A reduced word for w, greedy on smallest left descent.
+
+        In a group of rank 2 that word is the alternating word of length
+        l(w) that starts at the smallest left descent of w: every other
+        element has one reduced word, and w0, whose left descents are both
+        generators, continues alternating after the first.  A left descent
+        g is found as alpha_g among the images of the negative roots.
+        """
         n = self.n_pos
-        inv = self.inverse(w)
-        out = []
-        for _ in range(self.length(w)):
-            g = next(g for g in self.gens if inv[self._alpha[g]] >= n)
-            out.append(g)
-            inv = self.mul_gen(inv, g)
-        return tuple(out)
+        gens = self.gens
+        if len(gens) == 2:
+            length = self.length(w)
+            first = 0 if self._alpha[gens[0]] in w[n:] else 1
+            return tuple(gens[(first + i) % 2] for i in range(length))
+        steps = [(self._alpha[g], self.times[g], g) for g in gens]
+        return tuple(_greedy_word(self.inverse(w), steps, n))
 
     def order(self, w):
         k = 1

@@ -178,3 +178,15 @@ def test_irreducible_spherical_messages_of_both_callers():
             with pytest.raises(DiagramError) as exc:
                 call()
             assert str(exc.value) == message
+
+
+def test_neighbors_match_a_scan_of_the_labels():
+    d = parse_diagram("type E 8; vertex x; edge x s1 inf; vertex y")
+    for subset in (None, ("s1", "s3", "s4", "x"), ()):
+        keep = set(d.vertices if subset is None else subset)
+        for v in d.vertices:
+            scanned = {w for pair in d.labels if v in pair
+                       for w in pair - {v} if w in keep}
+            assert d.neighbors(v, subset) == scanned
+    assert d.neighbors("nowhere") == set()
+    assert d.neighbors("y") == set()

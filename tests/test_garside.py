@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from coxart.diagram import irreducible_components, parse_diagram, type_diagram
+from coxart.diagram import finite_type, irreducible_components, parse_diagram, type_diagram
 from coxart.garside import (
     ArtinEngine,
     BudgetExceeded,
@@ -215,6 +215,42 @@ def test_multiply_matches_the_normal_form_of_the_concatenation(fam, n, p):
     # exercised: odd and negative j both occur
     assert mixed >= 100
     assert any(j % 2 for j in right_infs) and any(j < 0 for j in right_infs)
+
+
+def _greedy_longest_word(d, subset):
+    """The generic greedy: build W_T and peel the smallest left descent of
+    its longest element, scanning for each descent with the test's own
+    arithmetic."""
+    g = build_group(d, subset)
+    w, out = g.w0, []
+    while True:
+        inv = tuple(sorted(range(g.size), key=w.__getitem__))
+        x = next((x for x in g.gens if inv[g.alpha_index(x)] >= g.n_pos), None)
+        if x is None:
+            return out
+        out.append(x)
+        w = tuple(g.simple(x)[i] for i in w)
+
+
+def _spherical_subsets(d):
+    return [t for r in range(len(d.vertices) + 1)
+            for t in combinations(d.vertices, r)
+            if finite_type(d, t).is_spherical]
+
+
+@pytest.mark.parametrize("spec", [
+    "type A 7", "type B 5", "type D 6", "type E 6", "type E 7", "type E 8",
+    "type F 4", "type H 3", "type H 4", "type I 2 7",
+    # names whose sort_key order differs from the standard order of B_4
+    "vertex b; vertex a; vertex zz; vertex c; edge a b 3; edge b c 4; edge zz a 3",
+])
+def test_delta_word_is_the_greedy_word_of_the_longest_element(spec):
+    d = parse_diagram(spec)
+    for subset in _spherical_subsets(d):
+        lift = [(g, 1) for g in _greedy_longest_word(d, subset)]
+        assert delta_word(d, subset, 1) == lift
+        assert delta_word(d, subset, 2) == lift * 2
+        assert delta_word(d, subset, -2) == inverse_word(lift) * 2
 
 
 def _connected_subsets(d, largest):

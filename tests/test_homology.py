@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from coxart.diagram import parse_diagram, type_diagram
-from coxart.garside import delta_word, parse_word
+from coxart.diagram import DiagramError, parse_diagram, type_diagram
+from coxart.garside import BudgetExceeded, delta_word, parse_word
 from coxart.homology import (
     h1_image,
     independence_check,
@@ -64,6 +64,20 @@ def test_h1_conjugated_square_is_basis_vector(a2):
 def test_h1_rejects_impure(a2):
     with pytest.raises(Exception):
         h1_image(a2, parse_word("s"))
+
+
+def test_h1_errors_in_order(a2):
+    # the budget is met before any letter is read, unknown letter or not
+    with pytest.raises(BudgetExceeded):
+        h1_image(a2, parse_word("s q t^2 s"), budget=4)
+    # an unknown letter is named wherever it stands, also in a non-pure word
+    for text in ("s^2 q^2", "s q", "q^-3 s^2"):
+        with pytest.raises(DiagramError, match="unknown generator 'q'"):
+            h1_image(a2, parse_word(text))
+    # a non-pure word is reported as such, not by its odd crossing counts
+    for text in ("s", "s t", "s^3 t^2", "s t s t"):
+        with pytest.raises(DiagramError, match="^word is not pure$"):
+            h1_image(a2, parse_word(text))
 
 
 def test_h1_additive_on_random_pure_words(a2):

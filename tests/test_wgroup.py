@@ -439,3 +439,58 @@ def test_coxeter_elements_by_subset_match_all_orderings(fam, n):
 @pytest.mark.parametrize("fam,n", [("A", 7), ("D", 6)])
 def test_tree_diagrams_have_two_to_the_n_minus_one_coxeter_elements(fam, n):
     assert len(_coxeter_elements(build_group(type_diagram(fam, n)))) == 2 ** (n - 1)
+
+
+# -- per-generator gathers and the rank-2 reduced word ----------------------
+
+def _seeded_elements(g, seed, count=30):
+    rng = random.Random(seed)
+    out = [tuple(range(g.size)), g.w0]
+    for _ in range(count):
+        w = tuple(range(g.size))
+        for x in rng.choices(g.gens, k=rng.randrange(1, 2 * g.n_pos + 2)):
+            w = _times(w, g.simple(x))
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    "vertex a; vertex b", "type I 2 500", "type E 8",
+])
+def test_every_gather_step_is_a_right_multiplication(spec):
+    g = build_group(parse_diagram(spec))
+    for w in _seeded_elements(g, spec):
+        for x in g.gens:
+            right = g.compose(w, g.simple(x))
+            assert right == _times(w, g.simple(x))
+            assert g.times[x](w) == right
+            assert g.mul_gen(w, x) == right
+    rng = random.Random(spec)
+    word = rng.choices(g.gens, k=50)
+    expected = tuple(range(g.size))
+    for x in word:
+        expected = _times(expected, g.simple(x))
+    assert g.word_to_element(word) == expected
+
+
+def _all_elements(g):
+    """Every element of g, closed under right multiplication by simples."""
+    seen = {tuple(range(g.size))}
+    frontier = list(seen)
+    for w in frontier:
+        for x in g.gens:
+            v = _times(w, g.simple(x))
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("spec", ["vertex a; vertex b"] + [
+    "type I 2 %d" % p for p in range(3, 25)])
+def test_rank_two_reduced_word_is_the_generic_greedy_on_every_element(spec):
+    g = build_group(parse_diagram(spec))
+    elements = _all_elements(g)
+    assert len(elements) == (4 if spec.startswith("vertex") else 2 * g.n_pos)
+    for w in elements:
+        assert g.reduced_word(w) == _scan_reduced_word(g, w)
