@@ -159,9 +159,12 @@ def complex_from_json(doc):
 # these helpers serve both.
 
 def normalize_syllables(word):
-    """Merge adjacent equal generators, drop zero exponents."""
+    """Merge adjacent equal generators, drop zero exponents.  A syllable
+    tuple that passes through unchanged is kept, not copied, so a normal
+    form shares its syllables with the word it was read from."""
     out = []
-    for v, e in word:
+    for syl in word:
+        v, e = syl
         if e == 0:
             continue
         if out and out[-1][0] == v:
@@ -170,7 +173,7 @@ def normalize_syllables(word):
             if m:
                 out.append((v, m))
         else:
-            out.append((v, e))
+            out.append(syl if type(syl) is tuple else (v, e))
     return out
 
 

@@ -44,6 +44,15 @@ def test_badpp_relation_nontrivial_on_path():
     assert not raag_is_trivial(PATH, rel)
 
 
+def test_normal_form_shares_unchanged_syllables():
+    word = [("c", 1), ("a", 2), ("a", 1), ("d", -1)]
+    nf = raag_normal_form(PATH, word)
+    assert nf == [("c", 1), ("a", 3), ("d", -1)]
+    assert nf[0] is word[0] and nf[2] is word[3]  # kept, not copied
+    # syllables given as lists still come out as tuples
+    assert raag_normal_form(PATH, [list(s) for s in word]) == nf
+
+
 def test_unknown_vertex_rejected():
     with pytest.raises(RaagError):
         raag_normal_form(PATH, [("z", 1)])
