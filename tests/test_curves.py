@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -453,3 +455,31 @@ def test_intersects_is_false_for_an_unknown_curve():
     assert not system.intersects("nowhere", "nowhere")
     assert not system.intersects("t1:3", "t1:3")
     assert all(system.intersects(*sorted(p)) for p in system.intersections)
+
+
+#: sha256 of `build_system(family, rank).to_json()` (keys sorted), recorded
+#: before the A_n diagram came from `type_diagram` and the pair rule lost its
+#: equal-interval clause
+SYSTEM_DIGESTS = {
+    ("An", 2): "c4c8fd13f7c954377ebac655a65841a2f4a19b456fcd9676783218ba0fa4fee9",
+    ("An", 3): "a3e946e84cd7075a6cf02f59a6ddc30313f98e6400b78b6faaf006e10a2cd923",
+    ("An", 4): "3c2c0e0570fbbc31c5185377ffde854183db69fb152ef55b96a5cc0de8e803ef",
+    ("An", 5): "bab52a78f6fbe6f9008c4b600dcb626ee2370a929ff4e21b8486ee0911bdf5b4",
+    ("An", 6): "3a381d3d7cacb2ee04e24ed481810bd5784c3d29c9f11601de2f8d6ed7a3e414",
+    ("An", 7): "f34bf781fe1779ede70da82e4c625b0cfd5f8ff7e718f5afda1e81fcd3929d50",
+    ("An", 8): "d1243aee3b86369b0f30c2f464977575fc561137dd679b5c17c8c889f5fc289e",
+    ("Dn", 4): "e484f6339fdcde7f1c5388f1d070e5158c62c27d44e74054cce31864aee9891a",
+    ("Dn", 5): "9d59099af80da6c69e7d28851f0a15d07831a11ef7f6f89c7316b93309ee9676",
+    ("Dn", 6): "53d72b42ae170080f16c3e1a5b31cfbaefbc50dbeb4ab610fe33279c5640c859",
+    ("Dn", 7): "f1dc43959110c3d9a454b18daf56c626f5907eb0a9246ee918a8267568cf93d9",
+    ("Dn", 8): "0795425a8fea3980c41466261a61817813047febc48694e3c24fd8ff6457c8c6",
+    ("E6F", None): "af1d39f20388884c71bdcbca8884acd6e4e1e3e5e45fadea82a8135d5adcd6e4",
+    ("E8F", None): "35b63ebb939fbe6e69cc0489e31cd6deac0a42504ef231eebe8fe3734fa16dae",
+    ("E7FIG", None): "d6ffb255cbde146940f00fe26fd834695cbcfc3664028ccf5562810a1a7bcdf0",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(SYSTEM_DIGESTS, key=str))
+def test_system_json_pinned(family, rank):
+    text = json.dumps(build_system(family, rank).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYSTEM_DIGESTS[family, rank]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from coxart.diagram import (
@@ -9,6 +11,8 @@ from coxart.diagram import (
     type_diagram,
     INF,
 )
+from coxart.folding import build_folded
+from coxart.nerve import subdivision
 
 
 def test_parse_type_shorthand():
@@ -190,3 +194,54 @@ def test_neighbors_match_a_scan_of_the_labels():
             assert d.neighbors(v, subset) == scanned
     assert d.neighbors("nowhere") == set()
     assert d.neighbors("y") == set()
+
+
+#: sha256 of the (tag, order) of every `finite_type` component: for a
+#: catalogue type, of the whole diagram and then of each irreducible spherical
+#: subset by name; for ("fold", ...), of the fold target of that source.
+#: Recorded before paths and branches were walked by one helper.
+COMPONENT_DIGESTS = {
+    ("A", 1, None): "e4f6591903468158a5818eb4f3efc966c522e2023526c8e9ebe1b5c9d93eee65",
+    ("A", 2, None): "426555781091ef54ae9596a741cadc6ba145ba909af89cf993fb612fa2f7d4d2",
+    ("A", 3, None): "2ebb26ff9a8785973e278d63fe22bbcb9baad8b1d8c613f85a1f3ca7cb30d7be",
+    ("A", 4, None): "aa8bcba0f14b2d85e326c56e121805e10db03b6fa4a165119ce2adf46c6fc8e1",
+    ("B", 2, None): "6369643a9df627065fa99ce13961ed6b2f201867f27933c546ae2ee5cb3dd6b6",
+    ("B", 3, None): "96d2eb5ca7704bae918812afc4d541740c938c97d33b7f194516219a36d57c99",
+    ("B", 4, None): "6ce61cca6917b3981e85c656b85fb4fb2985eed719696fd0b67bc33a338f87e7",
+    ("D", 4, None): "01e7dd4513e0021f0ad912b828e3072c2dff346da943c5914be9c990b4105525",
+    ("F", 4, None): "1e949ba6a3666148629dcbf361dceced03f9fa4212b039dbef39e058e9c57f76",
+    ("G", 2, None): "b5f4449ef94a01f6fcfa45ab9f74e0621db142ae9ab84d014cd3943a1f7a2301",
+    ("H", 2, None): "d30e3b72e013745dee6d03ca5eb49d1bb3bf3ac69e0e919140bcee234d3512cf",
+    ("H", 3, None): "56080a426abd92115d047022d3ee29e7c101f31f94b9babef32003c0e78a02a0",
+    ("H", 4, None): "83970b484d4f3cdd36ab4f27af2b170692ba3a0a2861997b9a1a61f9629ac204",
+    ("I", 2, 7): "62e8e38d0e7b0d72355bae3b6c6c64d0a6f1e2bf2cb22d78c59bbcb3b2b2d04a",
+    ("D", 5, None): "5c4f88a49a6a18b9e8b6665982c6bed528fd96dfd982aee2f516dd68c207142c",
+    ("D", 6, None): "42b9fd46b0f5ab7e9e5be6049d815a18340aa16babbc90ae21a4d8443f38772d",
+    ("A", 7, None): "7effcb3f4a03f8d9a06e59ad7c624ec9d560879cc22da6ad2d955828aaa5f30c",
+    ("E", 6, None): "3dbc14a0a710f760df5ca1f356178157883cb732a026dce417ce8d1ff5c6187f",
+    ("E", 7, None): "e7850cd70f677cdf2f832950629009667903b047f884fe54d6e70402021122b6",
+    ("E", 8, None): "b71bc2d742e453b45444182577babcd0aa9ad91ac72416010a5b513305bf0297",
+    ("fold", "I", 2, 3): "62e5c430150338ceae064ed56e0dffc8adf2b4c9f51a6a826954625486e90692",
+    ("fold", "I", 2, 4): "0dba2ff0430c3359f574cf6555d1408a067234796e55d555f41d5788c4200165",
+    ("fold", "I", 2, 5): "034b719586029c8d88fd7be630690eaf74c02d876d683291770d84034bd6ee72",
+    ("fold", "I", 2, 6): "13f48ed6dd8c2b8f6a65c4fae9fcbc479913a9eea4e2e8a1e3d2f87b38802561",
+    ("fold", "B", 3, None): "ee03e0da639350b6e3c710860f25c58ff2955996dca4530d1f5ae46b9dc6c69c",
+    ("fold", "H", 3, None): "9daa1d49ca7f585b5e92834cc289af40d92c5580878f114a3ee9294924eb4fd7",
+    ("fold", "F", 4, None): "305ce7e00d7ddc9893654020c935de1646a9b8d2140b5cb02fe9c2fdcef23098",
+    ("fold", "H", 4, None): "a6ac13a000db75254e6f629825c6f9c3077cb82d44fbdbd4e9927ae54f4f46ec",
+}
+
+
+def _components(diagram, subset=None):
+    return [(c.tag, c.order) for c in finite_type(diagram, subset).components]
+
+
+@pytest.mark.parametrize("key", sorted(COMPONENT_DIGESTS, key=str))
+def test_component_orders_pinned(key):
+    if key[0] == "fold":
+        blob = _components(build_folded(type_diagram(*key[1:])).target)
+    else:
+        d = type_diagram(*key)
+        subsets = subdivision(d).vertex_subsets
+        blob = [_components(d)] + [_components(d, subsets[k]) for k in sorted(subsets)]
+    assert hashlib.sha256(repr(blob).encode()).hexdigest() == COMPONENT_DIGESTS[key]

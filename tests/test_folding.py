@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
@@ -228,3 +231,24 @@ def test_h4_delta_square_image_is_e8_delta_square():
             lhs = [(g, e) for g, e in img if g in comp]
             rhs = [(g, e) for g, e in product if g in comp]
             assert eng.equals(lhs, rhs), (name, sorted(comp))
+
+
+#: sha256 of `build_folded(type_diagram(fam, n, p)).to_json()` (keys sorted)
+#: for the folding suite's sources, recorded before the zig-zag wiring was
+#: read off directly
+FOLD_DIGESTS = {
+    ("I", 2, 3): "2655b6a65ca755d78cbe5023151327fe91ef2a404d7cf22a6fe46f7e0df613d8",
+    ("I", 2, 4): "5c5532594977e4bc011eec4d59dee92a2c83da2aeac5f0f71c6726ae4077ae9f",
+    ("I", 2, 5): "be7f3897e52a05f44e287a82d0c3f6e3cd1779021fdc2b510542f1814c6f4f4c",
+    ("I", 2, 6): "54ec9b55ab731a3d33db8e7d478e7febe2ceefeaf055872a13d1011daeeb72d0",
+    ("B", 3, None): "6e24d6b5ab54ff346f608e15f4ce5be90b53696cb7abc54cd67b0fdf11141412",
+    ("H", 3, None): "bcbff60d46d3985b236765454054db2c3b711b9e6ae04b2d0f02672ff4f4f6ca",
+    ("F", 4, None): "a86c76e584c3834d11b43c79655a50a830108c61713cfdcf50fd933f33d6e9c3",
+    ("H", 4, None): "1eb8d0103e4305c0f690513985aa06c55e6827d406618c117161d72c87c50bc0",
+}
+
+
+@pytest.mark.parametrize("fam,n,p", sorted(FOLD_DIGESTS, key=str))
+def test_fold_json_pinned(fam, n, p):
+    text = json.dumps(build_folded(type_diagram(fam, n, p)).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLD_DIGESTS[fam, n, p]
