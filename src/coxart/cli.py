@@ -14,6 +14,7 @@ import sys
 
 from .curves import FAMILIES, build_system
 from .diagram import DiagramError, parse_diagram
+from .folding import build_folded
 from .garside import ArtinEngine, BudgetExceeded, letter_budget, parse_word
 from .homology import h1_image, reflection_labels
 from .nerve import nerve, subdivision
@@ -68,8 +69,6 @@ def cmd_h1(args):
 
 
 def cmd_fold(args):
-    from .folding import build_folded
-
     fold = build_folded(_load_diagram(args.diagram))
     print(json.dumps(fold.to_json(), indent=2, sort_keys=True))
     return 0
@@ -138,11 +137,11 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
+    if args.what == "nerve" and args.format == "dot":
+        raise DiagramError("nerve export supports json only")
     diagram = _load_diagram(args.diagram)
     if args.what == "nerve":
         obj = nerve(diagram, max_rank=args.max_rank)
-        if args.format == "dot":
-            raise DiagramError("nerve export supports json only")
         print(json.dumps(obj.to_json(), indent=2, sort_keys=True))
     else:
         sub = subdivision(diagram, max_rank=args.max_rank)

@@ -14,7 +14,8 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import CoxeterDiagram, DiagramError, sort_key
+from .diagram import CoxeterDiagram, DiagramError, sort_key, type_diagram
+from .garside import ArtinEngine
 from .nerve import nested_or_commuting, phi_word, subdivision, subset_name
 from .raag import (
     ChoiceMap,
@@ -30,6 +31,7 @@ from .raag import (
     substitute,
     validate_choice,
 )
+from .wgroup import build_group
 
 FAMILIES = ("An", "Dn", "E6F", "E8F", "E7FIG")
 
@@ -161,10 +163,9 @@ def _t_single(i, j):
 
 
 def _an_pair_intersects(c1, c2):
-    """c = (i, j, primed); distinct intervals, rule per the interval lemmas."""
+    """c = (i, j, primed); rule per the interval lemmas.  Equal intervals
+    nest, so the curves of one multicurve never meet."""
     (i1, j1, p1), (i2, j2, p2) = c1, c2
-    if (i1, j1) == (i2, j2):
-        return False  # same multicurve
     if _interval_commutes(i1, j1, i2, j2):
         return False
     if _t_single(i1, j1) or _t_single(i2, j2):
@@ -178,9 +179,8 @@ def build_an(n):
     """Boundary curves of the interval subsurfaces for the A_n system."""
     if n < 2:
         raise DiagramError("the A family needs rank >= 2")
-    gens = tuple("t%d" % i for i in range(1, n + 1))
-    labels = {frozenset((gens[i], gens[i + 1])): 3 for i in range(n - 1)}
-    diagram = CoxeterDiagram(gens, labels)
+    diagram = type_diagram("A", n, prefix="t")
+    gens = diagram.vertices
 
     desc = {}
     boundary = {}
@@ -431,13 +431,8 @@ def reference_choice(system):
 
 # -- the two verification set pieces ------------------------------------------
 
-class KernelReport(namedtuple("KernelReport",
-                               "raag_nontrivial artin_nontrivial curve_raag_trivial detail")):
-    __slots__ = ()
-
-    def __new__(cls, raag_nontrivial, artin_nontrivial, curve_raag_trivial, detail=None):
-        return super().__new__(cls, raag_nontrivial, artin_nontrivial, curve_raag_trivial,
-                               {} if detail is None else detail)
+KernelReport = namedtuple("KernelReport",
+                          "raag_nontrivial artin_nontrivial curve_raag_trivial detail")
 
 
 def e7_kernel_word_z(power=1):
@@ -458,9 +453,6 @@ def e7_kernel_check(power=1):
     Artin group by Garside normal form, (iii) trivial in the curve RAAG of
     the figure system after substituting multitwist words.
     """
-    from .garside import ArtinEngine
-    from .wgroup import build_group
-
     system = build_e7_figure()
     diagram = system.diagram
     sub = subdivision(diagram)
@@ -493,13 +485,8 @@ def e7_kernel_check(power=1):
     )
 
 
-class LanternReport(namedtuple("LanternReport",
-                                "artin_commute raag_commute retraction_pair detail")):
-    __slots__ = ()
-
-    def __new__(cls, artin_commute, raag_commute, retraction_pair, detail=None):
-        return super().__new__(cls, artin_commute, raag_commute, retraction_pair,
-                               {} if detail is None else detail)
+LanternReport = namedtuple("LanternReport",
+                           "artin_commute raag_commute retraction_pair detail")
 
 
 def _puncture_interval_gens(a, b):
@@ -514,10 +501,6 @@ def lantern_check():
     z-words do not commute in RA of the subdivision; the retraction onto
     the two six-puncture generators already separates them.
     """
-    from .diagram import type_diagram
-    from .garside import ArtinEngine
-    from .wgroup import build_group
-
     diagram = type_diagram("A", 7, prefix="t")
     # The two leading inverse twists of each word commute with the four
     # boundary twists but not with each other; the unique order making both

@@ -213,50 +213,16 @@ def _classify_rank2(diagram, a, b):
     return ComponentType("I", 2, (a, b), p=m)
 
 
-def _path_order(diagram, comp):
-    """Vertices of a path subdiagram from one endpoint to the other, or None."""
-    degs = {v: len(diagram.neighbors(v, comp)) for v in comp}
-    ends = sorted((v for v, d in degs.items() if d == 1), key=sort_key)
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
-        return None
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in diagram.neighbors(order[-1], comp) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _branch_data(diagram, comp):
-    """(center, branches) for a tree with one degree-3 vertex, else None.
-
-    Each branch is listed from the vertex adjacent to the center outward.
-    """
-    degs = {v: len(diagram.neighbors(v, comp)) for v in comp}
-    if any(d > 3 for d in degs.values()):
-        return None
-    centers = [v for v, d in degs.items() if d == 3]
-    if len(centers) != 1:
-        return None
-    center = centers[0]
-    branches = []
-    for first in sorted(diagram.neighbors(center, comp), key=sort_key):
-        branch = [first]
-        prev = center
-        while True:
-            nxt = [w for w in diagram.neighbors(branch[-1], comp) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev = branch[-1]
-            branch.append(nxt[0])
-        branches.append(branch)
-    branches.sort(key=lambda b: (len(b), sort_key(b[0])))
-    return center, branches
+def _chain(diagram, comp, prev, v):
+    """The vertices of the tree `comp` from v to a leaf, walking away from
+    prev; no vertex past v may branch."""
+    chain = [v]
+    while True:
+        nxt = [w for w in diagram.neighbors(chain[-1], comp) if w != prev]
+        if not nxt:
+            return chain
+        prev = chain[-1]
+        chain.append(nxt[0])
 
 
 def _classify_component(diagram, comp):
@@ -277,15 +243,16 @@ def _classify_component(diagram, comp):
     if len(big) > 1 or any(m >= 6 for _, _, m in big):
         return None
 
-    if not big:
-        # simply laced: A_n, D_n or E_n
-        path = _path_order(diagram, comp)
-        if path is not None:
-            return ComponentType("A", n, tuple(path))
-        branched = _branch_data(diagram, comp)
-        if branched is None:
-            return None
-        center, branches = branched
+    # a tree: either a path or branched at a single vertex of degree 3
+    degs = [len(diagram.neighbors(v, comp)) for v in comp]
+    if max(degs) > 2:
+        if big or max(degs) > 3 or degs.count(3) != 1:
+            return None  # label >= 4 on a branched tree, or two branch points
+        # simply laced D_n or E_n; each branch listed from the center outward
+        center = comp[degs.index(3)]
+        branches = sorted(
+            (_chain(diagram, comp, center, v) for v in diagram.neighbors(center, comp)),
+            key=lambda b: (len(b), sort_key(b[0])))
         lens = tuple(len(b) for b in branches)
         if lens[0] == 1 and lens[1] == 1:
             # D_n: long tail first, then the two forks
@@ -298,9 +265,10 @@ def _classify_component(diagram, comp):
             return ComponentType("E", n, tuple(chain) + (branches[0][0],))
         return None
 
-    path = _path_order(diagram, comp)
-    if path is None:
-        return None  # label >= 4 on a branched tree
+    # a path, read from its first end
+    path = _chain(diagram, comp, None, comp[degs.index(1)])
+    if not big:
+        return ComponentType("A", n, tuple(path))
     a, b, m = big[0]
     pos = sorted((path.index(a), path.index(b)))
     if m == 4:
@@ -425,10 +393,13 @@ def parse_diagram(text):
 
     Lines: ``vertex <name>``, ``edge <a> <b> <m|inf>`` or
     ``type <letter> <n> [<p>]``.  Comments start with '#'; semicolons
-    separate logical lines.
+    separate logical lines.  Each pair gets its label from one line at most:
+    a ``type`` line gives every pair of its own vertices one.
     """
     vertices = []
     labels = {}
+    labelled = set()  # pairs an edge line has given a label
+    type_line = {}  # vertex -> the type line that made it
 
     def add_vertex(name):
         if name in vertices:
@@ -440,7 +411,7 @@ def parse_diagram(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    for line in lines:
+    for line_no, line in enumerate(lines):
         parts = line.split()
         kind = parts[0].lower()
         if kind == "vertex" and len(parts) == 2:
@@ -452,12 +423,18 @@ def parse_diagram(text):
                     raise DiagramError("edge references unknown vertex %r" % v)
             if a == b:
                 raise DiagramError("self-edge on %r" % a)
+            pair = _pair(a, b)
+            same_type = a in type_line and type_line[a] == type_line.get(b)
+            if pair in labelled or same_type:
+                raise DiagramError("second label for the pair %s %s in line %r"
+                                   % (a, b, line))
+            labelled.add(pair)
             m = (INF if raw_m.lower() in ("inf", "infinity", "oo")
                  else _int_token(raw_m, "label", line))
             if m != INF and m < 2:
                 raise DiagramError("label below 2 on edge %s %s" % (a, b))
             if m != 2:  # m = 2 is the default and is not stored
-                labels[_pair(a, b)] = m
+                labels[pair] = m
         elif kind == "type" and len(parts) in (3, 4):
             fam = parts[1]
             n = _int_token(parts[2], "rank", line)
@@ -465,6 +442,7 @@ def parse_diagram(text):
             sub = type_diagram(fam, n, p)
             for v in sub.vertices:
                 add_vertex(v)
+                type_line[v] = line_no
             labels.update(sub.labels)
         else:
             raise DiagramError("cannot parse line %r" % line)

@@ -14,6 +14,7 @@ from math import lcm
 from .diagram import (
     CoxeterDiagram,
     DiagramError,
+    diagram_to_json,
     finite_type,
     irreducible_components,
     sort_key,
@@ -36,8 +37,6 @@ class FoldedDiagram(namedtuple("FoldedDiagram",
         return frozenset(out)
 
     def to_json(self):
-        from .diagram import diagram_to_json
-
         return {
             "source": diagram_to_json(self.source),
             "target": diagram_to_json(self.target),
@@ -52,20 +51,6 @@ class FoldedDiagram(namedtuple("FoldedDiagram",
                 )
             },
         }
-
-
-def _zigzag_edges(left, right):
-    """Gamma(m) on fibers `left`, `right` of equal size m-1: the two
-    alternating paths left[0]-right[1]-left[2]-... and right[0]-left[1]-..."""
-    k = len(left)
-    edges = []
-    for start in (0, 1):
-        path = []
-        for i in range(k):
-            path.append(left[i] if (i + start) % 2 == 0 else right[i])
-        for a, b in zip(path, path[1:]):
-            edges.append((a, b))
-    return edges
 
 
 def build_folded(diagram):
@@ -94,8 +79,11 @@ def build_folded(diagram):
             blocks.append(list(range(lo + 1, lo + block + 1)))
             left = fibers[a][lo:lo + block]
             right = fibers[b][lo:lo + block]
-            for x, y in _zigzag_edges(left, right):
-                new_labels[frozenset((x, y))] = 3
+            # Gamma(m): the alternating paths left[0]-right[1]-left[2]-...
+            # and right[0]-left[1]-..., edge by edge
+            for i in range(block - 1):
+                new_labels[frozenset((left[i], right[i + 1]))] = 3
+                new_labels[frozenset((right[i], left[i + 1]))] = 3
         layout[frozenset((a, b))] = blocks
     fold = FoldedDiagram(diagram, CoxeterDiagram(vertices, new_labels),
                          fibers, n, layout)

@@ -365,17 +365,6 @@ class WordSystem(object):
         """w_s1 and w_s2 commute iff s1 * s2 is a simplex."""
         return self.complex.is_clique(s1 | s2)
 
-    def induced_complex(self):
-        """L': one vertex per nontrivial word, edges where the words commute."""
-        sims = self.simplices()
-        edges = [
-            (i, j)
-            for i, a in enumerate(sims)
-            for j, b in enumerate(sims[: i])
-            if self.commute(a, b)
-        ]
-        return sims, edges
-
     def restricted(self, keep_vertices):
         keep = set(keep_vertices)
         return WordSystem(
@@ -388,12 +377,6 @@ class ChoiceMap(namedtuple("ChoiceMap", "assignment")):
     """A Property PP witness: simplex -> representative vertex."""
 
     __slots__ = ()
-
-    def __getitem__(self, simplex):
-        return self.assignment[frozenset(simplex)]
-
-    def items(self):
-        return self.assignment.items()
 
     def to_json(self):
         return {
@@ -503,8 +486,11 @@ PPVerdict = namedtuple("PPVerdict", "certified reason choice split conclusion",
 
 
 def _describe_subgroup(system):
-    sims, edges = system.induced_complex()
-    n, m = len(sims), len(edges)
+    """The shape of the RAAG on L': one vertex per word, joined where the
+    words commute."""
+    sims = system.simplices()
+    n = len(sims)
+    m = sum(1 for i, a in enumerate(sims) for b in sims[:i] if system.commute(a, b))
     if m == 0:
         shape = "free of rank %d" % n
     elif m == n * (n - 1) // 2:

@@ -487,10 +487,13 @@ _DN_GLOBAL_PP_MAPS = {4: 3}
 
 
 def suite_dn_curves(ranks=(4, 5, 6, 7)):
-    if not isinstance(ranks, (list, tuple)):
-        raise ValueError("suite option 'ranks' must be a list of integers, "
+    if not isinstance(ranks, (list, tuple)) or not ranks:
+        raise ValueError("suite option 'ranks' must be a nonempty list of integers, "
                          "got %s" % json.dumps(ranks))
-    for n in [_int_option("ranks", n, 4) for n in ranks]:
+    ranks = [_int_option("ranks", n, 4) for n in ranks]
+    if len(set(ranks)) != len(ranks):
+        raise ValueError("suite option 'ranks' repeats a rank: %s" % json.dumps(ranks))
+    for n in ranks:
         system = _lazy(build_dn, n)
         yield "dn-system-n%d" % n, partial(_dn_system, system)
         if n in _DN_GLOBAL_PP_MAPS:
@@ -602,7 +605,6 @@ def f_preserves_reduced(fold, src, images, max_len=4):
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
     tgt_complex, _ = complex_on_subsets(fold.target, image_subsets)
-    seen_src = set()
     seen_img = set()
     count = 0
     for word in enumerate_reduced_words(src.complex, max_len):
@@ -613,9 +615,9 @@ def f_preserves_reduced(fold, src, images, max_len=4):
         assert sum(abs(e) for _, e in nf) == expected_len, (
             "F does not preserve reduced length on %s" % (word,)
         )
-        seen_src.add(tuple(word))
         seen_img.add(tuple(nf))
-    assert len(seen_src) == len(seen_img), "F is not injective on the sample"
+    # the enumeration yields distinct words, so distinct images mean injective
+    assert len(seen_img) == count, "F is not injective on the sample"
     return count
 
 

@@ -162,6 +162,8 @@ def test_usage_errors_exit_two(capsys):
                   '{"type": "vertex a; vertex b; vertex c; edge a b 3; '
                   'edge b c 3; edge a c 3", "max_len": 2}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
+                 ("verify", "dn-curves", "--config", '{"ranks": []}'),
+                 ("verify", "dn-curves", "--config", '{"ranks": [4, 5, 4]}'),
                  ("verify", "e7-kernel", "--config", '{"power": 0}'),
                  ("verify", "an-curves", "--config", '{"max_rnk": 3}'),
                  ("verify", "folding-suite", "--config",
@@ -236,6 +238,9 @@ def test_bad_exponent_names_the_token(capsys, word):
     ("type I 2 x", "bad dihedral label 'x' in line 'type I 2 x'"),
     ("vertex s; vertex t; edge s t x", "bad label 'x' in line 'edge s t x'"),
     ("vertex s; vertex t; edge s t 2.5", "bad label '2.5' in line 'edge s t 2.5'"),
+    ("vertex s; vertex t; edge s t 3; edge s t 4",
+     "second label for the pair s t in line 'edge s t 4'"),
+    ("type A 2; edge s1 s2 2", "second label for the pair s1 s2 in line 'edge s1 s2 2'"),
 ])
 def test_bad_diagram_line_names_the_token(capsys, diagram, message):
     code, out, err = run(capsys, "export", "--what", "nerve", "--diagram", diagram)
@@ -295,6 +300,15 @@ def test_failing_suite_exits_one(capsys, monkeypatch):
     assert doc["checks"] == [
         {"id": "always-fails", "status": "fail", "detail": "deliberate failure"}
     ]
+
+
+def test_nerve_dot_is_refused_before_the_nerve_is_built(capsys, monkeypatch):
+    from coxart import cli
+
+    monkeypatch.setattr(cli, "nerve", lambda *args, **kwargs: pytest.fail("nerve built"))
+    code, out, err = run(capsys, "export", "--what", "nerve", "--format", "dot",
+                         "--diagram", "type A 3")
+    assert (code, out, err) == (2, "", "error: nerve export supports json only\n")
 
 
 def test_export_empty_diagram(capsys):

@@ -52,6 +52,21 @@ def test_parse_inf_label():
     assert d.m("a", "b") == INF
 
 
+@pytest.mark.parametrize("text", [
+    "vertex s; vertex t; edge s t 3; edge t s 3",
+    "vertex s; vertex t; edge s t 2; edge s t inf",
+    "type A 3; edge s1 s3 4",
+])
+def test_parse_second_label_for_a_pair_rejected(text):
+    with pytest.raises(DiagramError, match="second label for the pair"):
+        parse_diagram(text)
+
+
+def test_parse_edges_leaving_a_type_line_accepted():
+    d = parse_diagram("type A 2; vertex x; edge s2 x 4; edge s1 x 2")
+    assert d.m("s2", "x") == 4 and d.m("s1", "x") == 2 and d.m("s1", "s2") == 3
+
+
 def test_parse_comments():
     d = parse_diagram("# a diagram\nvertex a # trailing\nvertex b\nedge a b 5")
     assert d.m("a", "b") == 5

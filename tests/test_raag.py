@@ -164,7 +164,7 @@ def test_pp_search_single_word():
     ws = WordSystem(PATH, {frozenset(("b", "c")): [("b", 1), ("c", 1)]})
     cm = pp_search(ws)
     assert cm is not None
-    assert cm[("b", "c")] in ("b", "c")
+    assert cm.assignment[frozenset(("b", "c"))] in ("b", "c")
 
 
 def test_pp_search_badpp_none():
@@ -187,7 +187,7 @@ def test_pp_search_respects_commutation_exactly():
     cm = pp_search(ws)
     assert cm is not None
     assert all(
-        cx.adjacent(cm[a], cm[b]) == ws.commute(a, b)
+        cx.adjacent(cm.assignment[a], cm.assignment[b]) == ws.commute(a, b)
         for a in ws.words for b in ws.words if a != b
     )
     # on the path x-y-z the same words admit no choice: the image of the

@@ -12,7 +12,6 @@ import pytest
 import coxart
 from coxart import suites
 from coxart.cli import main
-from coxart.curves import KernelReport, LanternReport
 from coxart.diagram import ComponentType, CoxeterDiagram, type_diagram
 from coxart.homology import H1Vector
 from coxart.raag import ChoiceMap, FlagComplex
@@ -64,7 +63,7 @@ def test_tuple_records_compare_and_hash_by_their_fields():
     assert v.as_dict() == {0: -2, 3: 1}
     cm = ChoiceMap({frozenset("ab"): "a"})
     assert cm == ChoiceMap({frozenset("ba"): "a"}) != ChoiceMap({frozenset("ab"): "b"})
-    assert cm["ba"] == "a" and dict(cm.items()) == {frozenset("ab"): "a"}
+    assert cm.assignment == {frozenset("ba"): "a"}
     with pytest.raises(TypeError):  # its assignment is a dict
         hash(cm)
 
@@ -87,11 +86,6 @@ def test_immutable_records_refuse_assignment(record, field):
 
 
 def test_default_dicts_are_not_shared():
-    for make in (lambda: KernelReport(True, True, True),
-                 lambda: LanternReport(True, False, ((), ()))):
-        first, second = make(), make()
-        first.detail["key"] = 1
-        assert second.detail == {} and make().detail == {}
     first, second = CoxeterDiagram(("a",)), CoxeterDiagram(("a",))
     assert first.labels == {} and first.labels is not second.labels
     assert suites.SuiteResult("x").checks is not suites.SuiteResult("x").checks
