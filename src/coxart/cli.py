@@ -117,11 +117,14 @@ def cmd_pp_check(args):
 def cmd_verify(args):
     config = {}
     if args.config:
-        if os.path.exists(args.config):
-            with open(args.config) as fh:
-                config = json.load(fh)
-        else:
-            config = json.loads(args.config)
+        try:
+            if os.path.exists(args.config):
+                with open(args.config) as fh:
+                    config = json.load(fh)
+            else:
+                config = json.loads(args.config)
+        except json.JSONDecodeError as exc:
+            raise ValueError("--config is not valid JSON: %s" % exc) from None
         if not isinstance(config, dict):
             raise ValueError("--config must be a JSON object, got %s"
                              % type(config).__name__)

@@ -14,9 +14,9 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import CoxeterDiagram, DiagramError, sort_key, type_diagram
-from .garside import ArtinEngine
-from .nerve import nested_or_commuting, phi_word, subdivision, subset_name
+from .diagram import CoxeterDiagram, DiagramError, sort_key, subset_name, type_diagram
+from .garside import ArtinEngine, word_length
+from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
     ChoiceMap,
     FlagComplex,
@@ -72,13 +72,7 @@ class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundar
                 [sorted(p, key=sort_key) for p in self.intersections],
                 key=lambda p: (sort_key(p[0]), sort_key(p[1])),
             ),
-            "boundary": {
-                subset_name(s): list(cs)
-                for s, cs in sorted(
-                    self.boundary.items(),
-                    key=lambda kv: (len(kv[0]), sorted(map(sort_key, kv[0]))),
-                )
-            },
+            "boundary": {subset_name(s): list(cs) for s, cs in self.boundary.items()},
         }
 
 
@@ -478,7 +472,7 @@ def e7_kernel_check(power=1):
         leg3,
         {
             "raag_retraction_nontrivial": leg1_path,
-            "artin_word_length": sum(abs(e) for _, e in artin_word),
+            "artin_word_length": word_length(artin_word),
             "artin_normal_form_inf": nf.inf,
             "artin_canonical_length": nf.canonical_length,
         },

@@ -37,6 +37,11 @@ def sort_key(name):
     return (len(name), name)
 
 
+def subset_name(subset):
+    """Canonical printable name of a generator subset."""
+    return "+".join(sorted(subset, key=sort_key))
+
+
 class FrozenRecord(object):
     """Base of an immutable record whose fields are plain instance
     attributes, which are faster to read than those of a tuple: closed to
@@ -125,15 +130,13 @@ class CoxeterDiagram(FrozenRecord):
         labels = {p: m for p, m in self.labels.items() if p <= keep}
         return CoxeterDiagram(verts, labels)
 
-    def has_infinite_label(self):
-        return any(m == INF for m in self.labels.values())
-
 
 def irreducible_components(diagram, subset=None):
     """Partition `subset` into connected components of the induced diagram.
 
     Edges are the pairs with m != 2, so components correspond to the
-    irreducible factors of the special subgroup.
+    irreducible factors of the special subgroup.  Each component grows from
+    its least vertex, met in order, so they come out ordered by least vertex.
     """
     verts = list(diagram.vertices if subset is None else subset)
     unknown = set(verts) - set(diagram.vertices)
@@ -154,7 +157,6 @@ def irreducible_components(diagram, subset=None):
                     stack.append(w)
         seen |= comp
         comps.append(frozenset(comp))
-    comps.sort(key=lambda c: sort_key(min(c, key=sort_key)))
     return comps
 
 

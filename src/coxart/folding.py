@@ -12,14 +12,16 @@ from collections import namedtuple
 from math import lcm
 
 from .diagram import (
+    INF,
     CoxeterDiagram,
     DiagramError,
     diagram_to_json,
     finite_type,
     irreducible_components,
     sort_key,
+    subset_name,
 )
-from .nerve import subset_name
+from .raag import substitute
 
 
 class FoldedDiagram(namedtuple("FoldedDiagram",
@@ -30,26 +32,14 @@ class FoldedDiagram(namedtuple("FoldedDiagram",
 
     __slots__ = ()
 
-    def preimage(self, subset):
-        out = set()
-        for g in subset:
-            out |= set(self.fibers[g])
-        return frozenset(out)
-
     def to_json(self):
         return {
             "source": diagram_to_json(self.source),
             "target": diagram_to_json(self.target),
             "fiber_size": self.fiber_size,
-            "fibers": {g: list(f) for g, f in sorted(self.fibers.items(),
-                                                     key=lambda kv: sort_key(kv[0]))},
-            "blocks": {
-                "%s|%s" % tuple(sorted(pair, key=sort_key)): blocks
-                for pair, blocks in sorted(
-                    self.block_layout.items(),
-                    key=lambda kv: sorted(map(sort_key, kv[0])),
-                )
-            },
+            "fibers": {g: list(f) for g, f in self.fibers.items()},
+            "blocks": {"%s|%s" % tuple(sorted(pair, key=sort_key)): blocks
+                       for pair, blocks in self.block_layout.items()},
         }
 
 
@@ -58,7 +48,7 @@ def build_folded(diagram):
     comps = irreducible_components(diagram)
     if len(comps) != 1:
         raise DiagramError("folding needs a connected diagram")
-    if diagram.has_infinite_label():
+    if INF in diagram.labels.values():
         raise DiagramError("folding needs finite labels")
     labels = [m for _, _, m in diagram.edges()]
     n = lcm(*[m - 1 for m in labels]) if labels else 1
@@ -126,23 +116,16 @@ def _validate_fold(fold):
 
 
 def psi_word(fold, word):
-    """Image of an Artin word: each letter becomes its whole fiber."""
-    out = []
-    for g, e in word:
-        if g not in fold.fibers:
-            raise DiagramError("unknown generator %r" % (g,))
-        fib = fold.fibers[g]  # fiber letters pairwise commute
-        if e >= 0:
-            out.extend((x, 1) for x in fib for _ in range(e))
-        else:
-            out.extend((x, -1) for x in fib for _ in range(-e))
-    return out
+    """Image of an Artin word: each letter becomes the product of its fiber."""
+    return substitute({g: [(x, 1) for x in f] for g, f in fold.fibers.items()}, word)
 
 
 def component_subsets(fold, subset=None):
     """Connected components of the preimage of `subset` in the fold target."""
-    pre = fold.preimage(subset if subset is not None else fold.source.vertices)
-    return irreducible_components(fold.target, pre)
+    fibers = fold.fibers
+    return irreducible_components(fold.target, {
+        x for g in (fold.source.vertices if subset is None else subset)
+        for x in fibers[g]})
 
 
 def fold_images(fold, vertex_subsets):
@@ -193,5 +176,4 @@ def component_report(fold):
                 % (ct.tag, ct.coxeter_number, h_src)
             )
         out.append(ComponentReport(comp, ct.tag, ct.coxeter_number))
-    out.sort(key=lambda r: sorted(map(sort_key, r.subset)))
     return out

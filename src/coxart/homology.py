@@ -156,23 +156,24 @@ def longest_hyperplane_audit(m, exponent_bound=3):
     pure = 0
     failures = []
 
-    def extend(word, remaining, last):
+    def extend(word, prefix, remaining, last):
+        # prefix is the image of word in W; only an odd syllable moves it
         nonlocal scanned, pure
         scanned += 1
-        if word and is_pure(group, word):
+        if word and prefix == group.identity:
             pure += 1
-            vec = h1_image(group, word)
-            if set(longest) <= vec.as_dict().keys():
+            if set(longest) <= h1_image(group, word).as_dict().keys():
                 failures.append(list(word))
         if remaining == 0:
             return
         for g in (s, t):
             if g == last:
                 continue
+            odd = group.times[g](prefix)
             for e in exps:
                 word.append((g, e))
-                extend(word, remaining - 1, g)
+                extend(word, odd if e % 2 else prefix, remaining - 1, g)
                 word.pop()
 
-    extend([], m - 1, None)
+    extend([], group.identity, m - 1, None)
     return AuditReport(not failures, scanned, pure, failures)

@@ -11,6 +11,7 @@ from .diagram import (
     irreducible_components,
     require_irreducible_spherical,
     sort_key,
+    subset_name,
 )
 from .garside import delta_power
 from .raag import FlagComplex, RaagError, substitute
@@ -18,16 +19,12 @@ from .raag import FlagComplex, RaagError, substitute
 DEFAULT_MAX_RANK = 12
 
 
-def subset_name(subset):
-    """Canonical printable name of a generator subset."""
-    return "+".join(sorted(subset, key=sort_key))
-
-
 def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     """All nonempty spherical subsets, found by an upward lattice walk.
 
     Sphericality is inherited downward, so supersets of a non-spherical
-    set are pruned without testing.
+    set are pruned without testing.  A set grows only from itself minus its
+    last vertex, so each is met once.
     """
     if len(diagram.vertices) > max_rank:
         raise DiagramError(
@@ -44,8 +41,6 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
             top = max(verts.index(v) for v in s)
             for v in verts[top + 1:]:
                 cand = s | {v}
-                if cand in nxt:
-                    continue
                 # all maximal proper subsets must already be spherical
                 if all(cand - {u} in found for u in cand):
                     if finite_type(diagram, cand).is_spherical:
@@ -62,13 +57,10 @@ class Nerve(namedtuple("Nerve", "diagram simplices")):
 
     __slots__ = ()
 
-    def vertices(self):
-        return tuple(sorted((v for s in self.simplices if len(s) == 1 for v in s),
-                            key=sort_key))
-
     def to_json(self):
         return {
-            "vertices": list(self.vertices()),
+            "vertices": sorted((v for s in self.simplices if len(s) == 1 for v in s),
+                               key=sort_key),
             "simplices": [
                 sorted(s, key=sort_key)
                 for s in sorted(self.simplices,
@@ -95,11 +87,8 @@ class SubdividedNerve(namedtuple("SubdividedNerve", "diagram complex vertex_subs
 
     def to_json(self):
         doc = self.complex.to_json()
-        doc["vertex_subsets"] = {
-            name: sorted(sub, key=sort_key)
-            for name, sub in sorted(self.vertex_subsets.items(),
-                                    key=lambda kv: sort_key(kv[0]))
-        }
+        doc["vertex_subsets"] = {name: sorted(sub, key=sort_key)
+                                 for name, sub in self.vertex_subsets.items()}
         return doc
 
 

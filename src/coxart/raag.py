@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .diagram import FrozenRecord, sort_key
+from .diagram import FrozenRecord, sort_key, subset_name
 
 
 class RaagError(ValueError):
@@ -132,7 +132,7 @@ class FlagComplex(FrozenRecord):
         lines = ["graph %s {" % name]
         for v in self.vertices:
             lines.append('  "%s";' % v)
-        for a, b in self.to_json()["edges"]:
+        for a, b in self.edge_pairs():
             lines.append('  "%s" -- "%s";' % (a, b))
         lines.append("}")
         return "\n".join(lines)
@@ -379,13 +379,10 @@ class ChoiceMap(namedtuple("ChoiceMap", "assignment")):
     __slots__ = ()
 
     def to_json(self):
-        return {
-            "+".join(sorted(s, key=sort_key)): v
-            for s, v in sorted(
-                self.assignment.items(),
-                key=lambda kv: sorted(map(sort_key, kv[0])),
-            )
-        }
+        # sorted although JSON output sorts its keys: pp-check prints the
+        # dict's repr in text mode
+        return {subset_name(s): v for s, v in sorted(
+            self.assignment.items(), key=lambda kv: sorted(map(sort_key, kv[0])))}
 
 
 def _pp_consistent(system, sims, chosen, i):
@@ -481,8 +478,8 @@ def avoidance_check(system, l0_vertices, choice):
 
 
 #: `split` is (choice1, choice2) for a certified split
-PPVerdict = namedtuple("PPVerdict", "certified reason choice split conclusion",
-                       defaults=(None, None, ""))
+PPVerdict = namedtuple("PPVerdict", "certified reason split conclusion",
+                       defaults=(None, ""))
 
 
 def _describe_subgroup(system):
@@ -546,8 +543,8 @@ InjectivityReport = namedtuple(
 
 
 def verify_injectivity_bounded(
-    complex_, images, target_is_trivial, max_len,
-    commute_check=None, abelian_certificate=None,
+    complex_, images, target_is_trivial, max_len, commute_check,
+    abelian_certificate=None,
 ):
     """Certify no nontrivial word of length <= max_len dies in the target.
 
@@ -561,13 +558,12 @@ def verify_injectivity_bounded(
     missing = [v for v in complex_.vertices if v not in images]
     if missing:
         raise RaagError("no image for vertices %s" % missing)
-    if commute_check is not None:
-        for a, b in complex_.edge_pairs():
-            if not commute_check(images[a], images[b]):
-                return InjectivityReport(
-                    False, 0, 0, [(a, 1), (b, 1)],
-                    "images of commuting pair %s,%s do not commute" % (a, b),
-                )
+    for a, b in complex_.edge_pairs():
+        if not commute_check(images[a], images[b]):
+            return InjectivityReport(
+                False, 0, 0, [(a, 1), (b, 1)],
+                "images of commuting pair %s,%s do not commute" % (a, b),
+            )
 
     checked = 0
     slow = 0

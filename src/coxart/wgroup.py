@@ -322,11 +322,8 @@ class WGroup(object):
 
     # -- distinguished elements -----------------------------------------
 
-    def coxeter_element(self):
-        return self.word_to_element(self.gens)
-
     def coxeter_number(self):
-        return self.order(self.coxeter_element())
+        return self.order(self.word_to_element(self.gens))
 
     def reflections(self):
         """Reflection permutations indexed by the positive root they negate,

@@ -168,10 +168,48 @@ def test_usage_errors_exit_two(capsys):
                  ("verify", "an-curves", "--config", '{"max_rnk": 3}'),
                  ("verify", "folding-suite", "--config",
                   '{"budget": "x", "f_max_len": 1}'),
-                 ("verify", "tits-classic", "--budget", "3")):
+                 ("verify", "tits-classic", "--budget", "3"),
+                 ("verify", "tits-classic", "--config", "nonsense")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_config_that_is_neither_file_nor_json_names_the_flag(capsys):
+    code, out, err = run(capsys, "verify", "tits-classic", "--config", "nonsense")
+    assert (code, out) == (2, "")
+    assert err == ("error: --config is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_verify_refuses_optimized_python():
+    # python -O strips assert statements, and with them every check's verdict
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "coxart.cli", "verify", "tits-classic"],
+        capture_output=True, text=True, env=subprocess_env("0"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: python -O ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_json_dump_sorts_its_keys():
+    # the printers alone fix the key order of every JSON output: the
+    # to_json methods leave their dict items unsorted
+    import ast
+    import inspect
+
+    import coxart.cli
+
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(coxart.cli)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dumps"]
+    assert calls
+    for call in calls:
+        assert any(k.arg == "sort_keys" and isinstance(k.value, ast.Constant)
+                   and k.value.value is True for k in call.keywords), ast.dump(call)
 
 
 def test_verify_has_no_seed_option(capsys):

@@ -20,7 +20,7 @@ from coxart.curves import (
 )
 from coxart.diagram import DiagramError
 from coxart.nerve import nested_or_commuting, subset_name
-from coxart.raag import pp_search
+from coxart.raag import FlagComplex, pp_search
 
 ALL_BUILDERS = [
     ("An", 5), ("An", 7), ("Dn", 4), ("Dn", 6),
@@ -32,6 +32,22 @@ ALL_BUILDERS = [
 def test_structural_audit_clean(family, rank):
     system = build_system(family, rank)
     assert audit_system(system) == []
+
+
+def _flip(system, a, b):
+    """The system with the intersection of curves a and b flipped."""
+    edges = system.complex.edges ^ {frozenset((a, b))}
+    return system._replace(complex=FlagComplex(system.curves, edges))
+
+
+@pytest.mark.parametrize("a, b, defect", [
+    ("t1:3", "t1:3'", "multicurve of t1+t2+t3 is not disjoint: t1:3,t1:3'"),
+    ("t1:1", "t3:3", "commuting t3 / t1 intersect: ('t3:3', 't1:1')"),
+    ("t1:1", "t2:2", "non-commuting t2 / t1 have disjoint boundaries"),
+])
+def test_structural_audit_names_a_flipped_intersection(a, b, defect):
+    system = build_an(4)
+    assert audit_system(_flip(system, a, b)) == [defect]
 
 
 def test_build_system_rejects_bad_input():

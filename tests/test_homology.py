@@ -4,7 +4,9 @@ import pytest
 
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
 from coxart.garside import BudgetExceeded, delta_word, parse_word
+from coxart import homology
 from coxart.homology import (
+    AuditReport,
     h1_image,
     independence_check,
     is_pure,
@@ -12,6 +14,7 @@ from coxart.homology import (
     longest_hyperplane_indices,
 )
 from coxart.raag import raag_inverse as inverse_word
+from coxart.suites import run_suite
 from coxart.wgroup import build_group
 
 A2 = parse_diagram("vertex s; vertex t; edge s t 3")
@@ -154,3 +157,59 @@ def test_audit_failure_reporting_is_possible():
     # sanity of the report structure: scanning with bound 1 still passes
     report = longest_hyperplane_audit(3, exponent_bound=1)
     assert report.ok and report.failures == []
+
+
+def _per_word_audit(m, exponent_bound):
+    """The audit as first written: purity and the H1 image of every scanned
+    word are read from the whole word."""
+    group = build_group(type_diagram("I", 2, m))
+    s, t = group.gens
+    longest = homology.longest_hyperplane_indices(m)
+    exps = [e for e in range(-exponent_bound, exponent_bound + 1) if e]
+    scanned = pure = 0
+    failures = []
+
+    def extend(word, remaining, last):
+        nonlocal scanned, pure
+        scanned += 1
+        if word and is_pure(group, word):
+            pure += 1
+            if set(longest) <= h1_image(group, word).as_dict().keys():
+                failures.append(list(word))
+        if remaining:
+            for g in (s, t):
+                if g != last:
+                    for e in exps:
+                        word.append((g, e))
+                        extend(word, remaining - 1, g)
+                        word.pop()
+
+    extend([], m - 1, None)
+    return AuditReport(not failures, scanned, pure, failures)
+
+
+def _plant_root_zero(monkeypatch):
+    """Audit against the hyperplane of alpha_s1, which s1^2 crosses."""
+    monkeypatch.setattr(homology, "longest_hyperplane_indices", lambda m: (0,))
+
+
+@pytest.mark.parametrize("planted", (False, True))
+@pytest.mark.parametrize("bound", (1, 2, 3))
+@pytest.mark.parametrize("m", (3, 4, 5, 6))
+def test_audit_matches_the_per_word_audit(monkeypatch, m, bound, planted):
+    if planted:
+        _plant_root_zero(monkeypatch)
+    report = longest_hyperplane_audit(m, exponent_bound=bound)
+    assert report == _per_word_audit(m, bound)
+    # with exponents +-1 no word shorter than m is pure
+    assert report.ok == (not planted or bound == 1)
+
+
+def test_audit_reports_its_failures(monkeypatch):
+    _plant_root_zero(monkeypatch)
+    report = longest_hyperplane_audit(3, exponent_bound=3)
+    assert not report.ok
+    assert report.failures[0] == [("s1", -2)]
+    checks = {c.id: c for c in run_suite("dihedral-audit").checks}
+    assert checks["longest-hyperplane-m3"].status == "fail"
+    assert checks["longest-hyperplane-m3"].detail == "violations: [[('s1', -2)]]"

@@ -19,6 +19,7 @@ from coxart.raag import (
     raag_is_trivial,
     raag_normal_form,
     retraction,
+    validate_choice,
     verify_injectivity_bounded,
 )
 
@@ -587,3 +588,43 @@ def test_normal_form_is_least_reachable_ordering(family, rank):
     for word in words:
         assert raag_normal_form(sub.complex, word) == \
             _least_reachable(commute, word), word
+
+
+def test_validate_choice_names_each_defect():
+    cx = FlagComplex("xyz", [("x", "y")])
+    ws = WordSystem(cx, {
+        frozenset("x"): [("x", 1)],
+        frozenset("xy"): [("x", 2), ("y", 1)],
+        frozenset("z"): [("z", 3)],
+    })
+    good = {frozenset("x"): "x", frozenset("xy"): "y", frozenset("z"): "z"}
+    assert validate_choice(ws, ChoiceMap(good)) == []
+    missing = {s: v for s, v in good.items() if s != frozenset("z")}
+    assert validate_choice(ws, ChoiceMap(missing)) == ["no choice for ['z']"]
+    outside = dict(good)
+    outside[frozenset("z")] = "w"
+    assert validate_choice(ws, ChoiceMap(outside)) == [
+        "choice for ['z'] is not one of its vertices"]
+    reused = dict(good)
+    reused[frozenset("xy")] = "x"
+    assert validate_choice(ws, ChoiceMap(reused)) == [
+        "choice 'x' reused", "pair ['x', 'y'] / ['x'] breaks PP"]
+    # on the path a-b-c-d, bc -> b is adjacent to a although z_bc and z_a
+    # do not commute
+    path = WordSystem(PATH, {frozenset("a"): [("a", 1)], frozenset("d"): [("d", 1)],
+                             frozenset("bc"): [("b", 1), ("c", 1)]})
+    choice = {frozenset("a"): "a", frozenset("bc"): "b", frozenset("d"): "d"}
+    assert validate_choice(path, ChoiceMap(choice)) == ["pair ['b', 'c'] / ['a'] breaks PP"]
+
+
+def test_injectivity_report_names_a_word_mapped_to_identity():
+    # a and b generate F_2, but both go to x: a b^-1 dies
+    target = FlagComplex("x", [])
+    report = verify_injectivity_bounded(
+        FlagComplex("ab", []), {"a": [("x", 1)], "b": [("x", 1)]},
+        lambda w: raag_is_trivial(target, w), 2, lambda u, v: True,
+    )
+    assert not report.ok
+    assert report.violation == [("a", 1), ("b", -1)]
+    assert report.detail == "nontrivial word maps to identity"
+    assert (report.words_checked, report.slow_path_checked) == (3, 3)
