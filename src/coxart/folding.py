@@ -82,13 +82,21 @@ def build_folded(diagram):
 
 
 def _validate_fold(fold):
+    """Raise DiagramError unless `fold` has the Crisp-Paris shape: fibers of
+    equal size with no edge inside, no edge between the fibers of commuting
+    generators, and N/(m-1) copies of Gamma(m) between the fibers of an
+    edge labelled m."""
     src, tgt = fold.source, fold.target
     for g in src.vertices:
         fib = fold.fibers[g]
-        assert len(fib) == fold.fiber_size
+        if len(fib) != fold.fiber_size:
+            raise DiagramError("fold: fiber of %s has %d vertices, not %d"
+                               % (g, len(fib), fold.fiber_size))
         for i, x in enumerate(fib):
             for y in fib[i + 1:]:
-                assert tgt.m(x, y) == 2, "edge inside a fiber"
+                if tgt.m(x, y) != 2:
+                    raise DiagramError("fold: edge %s-%s inside the fiber of %s"
+                                       % (x, y, g))
     for a in src.vertices:
         for b in src.vertices:
             if sort_key(a) >= sort_key(b):
@@ -101,18 +109,19 @@ def _validate_fold(fold):
                 if tgt.m(x, y) != 2
             ]
             if m == 2:
-                assert not cross, "fibers of commuting generators must not touch"
-            else:
-                # the induced graph on the two fibers must be exactly
-                # N/(m-1) copies of Gamma(m), i.e. 2N/(m-1) paths of type A_(m-1)
-                pair = set(fold.fibers[a]) | set(fold.fibers[b])
-                sub = tgt.induced(pair)
-                comps = irreducible_components(sub)
-                assert len(comps) == 2 * fold.fiber_size // (m - 1)
-                for c in comps:
-                    ct = finite_type(sub, c)
-                    assert ct.is_spherical and ct.components[0].family == "A"
-                    assert ct.components[0].rank == m - 1
+                if cross:
+                    raise DiagramError("fold: fibers of commuting generators %s, %s "
+                                       "touch" % (a, b))
+                continue
+            # the induced graph on the two fibers must be exactly
+            # N/(m-1) copies of Gamma(m), i.e. 2N/(m-1) paths of type A_(m-1)
+            sub = tgt.induced(set(fold.fibers[a]) | set(fold.fibers[b]))
+            comps = irreducible_components(sub)
+            types = (finite_type(sub, c) for c in comps)
+            if len(comps) != 2 * fold.fiber_size // (m - 1) or not all(
+                    t.is_spherical and t.components[0][:2] == ("A", m - 1) for t in types):
+                raise DiagramError("fold: fibers of %s, %s are not %d paths of type "
+                                   "A_%d" % (a, b, 2 * fold.fiber_size // (m - 1), m - 1))
 
 
 def psi_word(fold, word):

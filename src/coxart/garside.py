@@ -5,23 +5,25 @@ each simple a W-permutation.  This solves the word problem: two words are
 equal iff their (inf, canon) pairs coincide.
 
 A word is read in maximal runs of same-sign letters whose product in W stays
-reduced, each letter one step through its generator's gather (WGroup.times);
-each run enters as one simple (a negative run as Delta^-1 times a simple),
-so Delta_T^k costs k factors.  One backward sweep of pairwise
-left-weighting restores the normal form after each factor (Epstein et al.,
-Word Processing in Groups, ch. 9).  A pair u|v is left-weighted by moving
-onto u the longest prefix of v that keeps u simple; that prefix is grown by
-root lookups, with no descent sets.  Two normal forms multiply without
-re-reading either word, Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, which
-is how two words are tested for commuting.  The budget bounds the letters of
-a word.  The word of Delta_T is the greedy word of the longest element of
-W_T, read off the cached type models (wgroup.longest_word), so building it
-builds no group.
+reduced, two letters per step through the gather of their pair
+(WGroup.pair_times) and a run's odd last letter through its generator's
+gather (WGroup.times); each run enters as one simple (a negative run as
+Delta^-1 times a simple), so Delta_T^k costs k factors.  One backward sweep
+of pairwise left-weighting restores the normal form after each factor
+(Epstein et al., Word Processing in Groups, ch. 9).  A pair u|v is
+left-weighted by moving onto u the longest prefix of v that keeps u simple;
+that prefix is grown by root lookups, with no descent sets, two generators
+per gather.  Two normal forms multiply without re-reading either word,
+Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, which is how two words are
+tested for commuting.  The budget bounds the letters of a word.  The word of
+Delta_T is the greedy word of the longest element of W_T, read off the
+cached type models (wgroup.longest_word), so building it builds no group.
 """
 
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .diagram import DiagramError, require_irreducible_spherical
 from .raag import raag_inverse
@@ -85,8 +87,12 @@ def parse_word(text):
     return word
 
 
+_exponent = itemgetter(1)
+
+
 def word_length(word):
-    return sum(abs(e) for _, e in word)
+    """The number of letters of a syllable word, summed at C level."""
+    return sum(map(abs, map(_exponent, word)))
 
 
 # -- normal form -------------------------------------------------------------
@@ -138,7 +144,7 @@ class ArtinEngine(object):
             assert len(match) == 1, "conjugation by Delta must permute generators"
             self._tau_gen[g] = match[0]
         # generator -> (index of alpha_g, gather of s_g, s_g), for push_word
-        # and _fix_pair
+        # and _fix_pair, which apply letters in pairs through w.pair_times
         self._steps = {g: (w.alpha_index(g), w.times[g], w.simple(g)) for g in w.gens}
 
     def tau(self, u):
@@ -202,23 +208,36 @@ class _NFState(object):
         self.seq = list(seq)
 
     def push_word(self, word):
+        """Push a word run by run.  A run holds its last letter p back: the
+        next same-sign letter g extends run s_p iff (run s_p)(alpha_g) =
+        run(s_p(alpha_g)) is positive, and then both letters enter by one
+        pair gather; a run's odd last letter enters by the gather of p."""
         eng = self.engine
         w = eng.w
         eng.check_letters(word_length(word))
         n = w.n_pos
         steps = eng._steps
+        pair = w.pair_times
         run, sign = w.identity, 0
+        p = None  # the held-back letter: the run so far is run s_p
         for g, e in word:
             if g not in steps:
                 raise DiagramError("unknown generator %r" % (g,))
-            alpha, times, _ = steps[g]
+            alpha, times, s = steps[g]
             step = 1 if e > 0 else -1
             for _ in range(abs(e)):
-                if step != sign or run[alpha] >= n:
+                if p is not None:
+                    if step == sign and run[p_s[alpha]] < n:
+                        run = pair(p, g)(run)
+                        p = None
+                        continue
+                    self._push_run(p_times(run), sign)
+                    run, sign = w.identity, step
+                elif step != sign or run[alpha] >= n:
                     self._push_run(run, sign)
                     run, sign = w.identity, step
-                run = times(run)
-        self._push_run(run, sign)
+                p, p_times, p_s = g, times, s
+        self._push_run(run if p is None else p_times(run), sign)
 
     def _push_run(self, run, sign):
         """Push sigma(run)^sign for a reduced run = s_g1...s_gm; the identity
@@ -257,34 +276,44 @@ class _NFState(object):
         """Left-weight seq[i], seq[i + 1] = u, v: move onto u the longest
         prefix m of v with u m still simple; report whether m is nontrivial.
 
-        m grows one generator at a time.  s_h extends m when h is a left
-        descent of m^-1 v, i.e. v^-1 sends m(alpha_h) negative, i.e.
-        m(alpha_h) is the image under v of a negative root; and u m s_h stays
-        simple when u m sends alpha_h positive.  The left-weighted pair is
-        unique, so the order of the moves does not matter.  A single
-        generator is its own inverse, so m = s_h needs no inversion.
+        m grows by root lookups.  s_h extends m when h is a left descent of
+        m^-1 v, i.e. v^-1 sends m(alpha_h) negative, i.e. m(alpha_h) is the
+        image under v of a negative root; and u m s_h stays simple when u m
+        sends alpha_h positive.  As in push_word, the last generator found
+        is held back and the next one enters with it by one pair gather.
+        The left-weighted pair is unique, so the order of the moves does not
+        matter.  A single generator is its own inverse, so m = s_h needs no
+        inversion.
         """
         eng = self.engine
         w = eng.w
+        pair = w.pair_times
         n = w.n_pos
         seq = self.seq
         u, v = seq[i], seq[i + 1]
         v_neg = set(v[n:])
         m = w.identity
-        moved = []
+        p = None  # the held-back generator: the prefix so far is m s_p
+        moved = 0
         grown = True
         while grown:
             grown = False
-            for alpha, times, s in eng._steps.values():
-                r = m[alpha]
+            for h, (alpha, times, s) in eng._steps.items():
+                r = m[alpha] if p is None else m[p_s[alpha]]
                 if r in v_neg and u[r] < n:
-                    m = times(m)
-                    moved.append(s)
+                    if p is None:
+                        p, p_times, p_s = h, times, s
+                    else:
+                        m = pair(p, h)(m)
+                        p = None
+                    moved += 1
                     grown = True
         if not moved:
             return False
+        if p is not None:
+            m = p_times(m)
         seq[i] = w.compose(u, m)
-        rest = w.compose(moved[0] if len(moved) == 1 else w.inverse(m), v)
+        rest = w.compose(p_s if moved == 1 else w.inverse(m), v)
         if rest == w.identity:
             del seq[i + 1]
         else:

@@ -8,8 +8,10 @@ irreducible type contributes only its simple reflections, the indices of
 its simple roots and its longest element, kept in a bounded cache; every
 other reflection is derived from them by WGroup.reflections().
 
-A group builds one gather per generator (an itemgetter over s_g), and every
-letter of a word steps through it: w -> w s_g is one C-level call.  The
+A group builds one gather per generator (an itemgetter over s_g), so that
+w -> w s_g is one C-level call, and, on first use, one gather per ordered
+pair of generators (over s_g s_h), so that w -> w s_g s_h is one call too:
+at most |S|^2 of them, and nothing is cached per element.  The
 greedy word of the longest element of a spherical subset, which spells
 Delta_T, is read off the type models, one cached word per component and
 vertex ranking, with no group built for the subset.
@@ -239,6 +241,7 @@ class WGroup(object):
             offset += c.reflection_count
         #: times[g](w) is w s_g, one gather
         self.times = {g: itemgetter(*s) for g, s in self._simple.items()}
+        self._pairs = {}  # (g, h) -> gather of s_g s_h, see pair_times
 
     # -- basic permutation algebra -------------------------------------
 
@@ -266,6 +269,16 @@ class WGroup(object):
     def mul_gen(self, w, g):
         """w * s_g (right multiplication by a generator)."""
         return self.times[g](w)
+
+    def pair_times(self, g, h):
+        """The gather of s_g s_h: pair_times(g, h)(w) is w s_g s_h, one
+        C-level call.  Built on first use and kept, at most one per ordered
+        pair of generators."""
+        step = self._pairs.get((g, h))
+        if step is None:
+            s_g = self._simple[g]
+            step = self._pairs[g, h] = itemgetter(*map(s_g.__getitem__, self._simple[h]))
+        return step
 
     def inverse(self, w):
         inv = [0] * self.size

@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import coxart
 
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
 from coxart.folding import (
@@ -52,6 +57,24 @@ def test_fold_rejects_disconnected_or_infinite():
         build_folded(parse_diagram("vertex a; vertex b"))
     with pytest.raises(DiagramError):
         build_folded(parse_diagram("vertex a; vertex b; edge a b inf"))
+
+
+def test_validate_fold_raises_under_python_O():
+    # a B_3 fold whose target lost every edge: the check must not rest on
+    # assert statements, which python -O strips
+    code = ("from coxart.diagram import CoxeterDiagram, DiagramError, type_diagram\n"
+            "from coxart.folding import _validate_fold, build_folded\n"
+            "fold = build_folded(type_diagram('B', 3))\n"
+            "broken = fold._replace(target=CoxeterDiagram(fold.target.vertices))\n"
+            "try:\n"
+            "    _validate_fold(broken)\n"
+            "except DiagramError as exc:\n"
+            "    print('DiagramError:', exc)\n")
+    src = os.path.dirname(os.path.dirname(coxart.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("DiagramError: fold: "), proc.stdout
 
 
 def test_psi_generator_image():

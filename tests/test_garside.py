@@ -1,12 +1,20 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from coxart.diagram import finite_type, irreducible_components, parse_diagram, type_diagram
+from coxart.diagram import (
+    DiagramError,
+    finite_type,
+    irreducible_components,
+    parse_diagram,
+    type_diagram,
+)
 from coxart.garside import (
     ArtinEngine,
     BudgetExceeded,
+    _NFState,
     delta_power,
     delta_word,
     parse_word,
@@ -565,6 +573,99 @@ def test_disguised_signed_words_agree(family, data):
     eng = ArtinEngine(build_group(d))
     assert eng.normal_form(word) == eng.normal_form(disguised)
     assert eng.is_trivial(word + [(g, -e) for g, e in reversed(word)])
+
+
+# -- reading two letters per gather, against a letter-by-letter reading ------
+
+class _LetterwiseState(_NFState):
+    """The normal-form state reading one letter per gather: each letter of a
+    run steps through WGroup.times, and a pair's moved prefix grows one
+    generator per gather.  `ends` records each run that a later letter
+    ended, as (its length, "sign" or "descent")."""
+
+    __slots__ = ("ends",)
+
+    def push_word(self, word):
+        w = self.engine.w
+        n = w.n_pos
+        run, sign, length = w.identity, 0, 0
+        self.ends = []
+        for g, e in word:
+            step = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                if step != sign or run[w.alpha_index(g)] >= n:
+                    if length:
+                        self.ends.append((length, "sign" if step != sign else "descent"))
+                    self._push_run(run, sign)
+                    run, sign, length = w.identity, step, 0
+                run = w.times[g](run)
+                length += 1
+        self._push_run(run, sign)
+
+    def _fix_pair(self, i):
+        w = self.engine.w
+        n = w.n_pos
+        u, v = self.seq[i], self.seq[i + 1]
+        v_neg = set(v[n:])
+        m = w.identity
+        grown = True
+        while grown:
+            grown = False
+            for g in w.gens:
+                r = m[w.alpha_index(g)]
+                if r in v_neg and u[r] < n:
+                    m = w.times[g](m)
+                    grown = True
+        if m == w.identity:
+            return False
+        self.seq[i] = w.compose(u, m)
+        rest = w.compose(w.inverse(m), v)
+        if rest == w.identity:
+            del self.seq[i + 1]
+        else:
+            self.seq[i + 1] = rest
+        return True
+
+
+def _runs_word(rng, d):
+    """A seeded word of same-sign stretches of 1-9 letters, exponents up to
+    3 in size, now and then with Delta^+-1 spliced in."""
+    word = []
+    for _ in range(rng.randrange(1, 6)):
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.2:
+            word += delta_word(d, d.vertices, sign)
+        word += [(rng.choice(d.vertices), sign * rng.choice((1, 1, 1, 2, 3)))
+                 for _ in range(rng.randrange(1, 10))]
+    return word
+
+
+@pytest.mark.parametrize("spec", [
+    "type A 3", "type B 4", "type D 5", "type F 4", "type H 3", "type H 4",
+    "type E 6", "type E 7", "type E 8", "type I 2 7", "type G 2",
+    "vertex a; vertex b",
+])
+def test_pair_stepping_matches_a_letterwise_reading(spec):
+    d = parse_diagram(spec)
+    eng = ArtinEngine(build_group(d))
+    rng = random.Random("pairs:" + spec)
+    ends = Counter()
+    for _ in range(60):
+        word = _runs_word(rng, d)
+        reference = _LetterwiseState(eng)
+        reference.push_word(word)
+        assert eng.normal_form(word) == reference.readout(), word
+        ends.update((length % 2, why) for length, why in reference.ends)
+    # odd runs, whose last letter is held back, end both at a sign switch
+    # and at a descent, and so do even ones
+    assert all(ends[parity, why] for parity in (0, 1) for why in ("sign", "descent"))
+
+
+def test_unknown_generator_after_a_held_back_letter_raises(a2_engine):
+    for word in ([("s", 1), ("u", 1)], [("s", 3), ("u", -1)],
+                 [("s", 1), ("t", 1), ("s", 1), ("u", 2)]):
+        with pytest.raises(DiagramError, match="^unknown generator 'u'$"):
+            a2_engine.normal_form(word)
 
 
 # -- the normal forms themselves, pinned: a change to the engine or to the

@@ -6,6 +6,7 @@ import pytest
 from sympy.liealgebras.root_system import RootSystem
 
 from coxart.diagram import finite_type, parse_diagram, sort_key, type_diagram
+from coxart.garside import ArtinEngine
 from coxart.suites import _coxeter_elements
 from coxart.wgroup import build_group, phi_mul, phi_sign
 
@@ -441,7 +442,7 @@ def test_tree_diagrams_have_two_to_the_n_minus_one_coxeter_elements(fam, n):
     assert len(_coxeter_elements(build_group(type_diagram(fam, n)))) == 2 ** (n - 1)
 
 
-# -- per-generator gathers and the rank-2 reduced word ----------------------
+# -- per-generator and pair gathers and the rank-2 reduced word ----------------------
 
 def _seeded_elements(g, seed, count=30):
     rng = random.Random(seed)
@@ -471,6 +472,43 @@ def test_every_gather_step_is_a_right_multiplication(spec):
     for x in word:
         expected = _times(expected, g.simple(x))
     assert g.word_to_element(word) == expected
+
+
+PAIR_SPECS = ["type E 8", "type H 4", "type F 4", "type B 3", "type I 2 7",
+              "vertex a; vertex b",
+              "vertex x10; vertex Y_2; vertex x9; vertex beta; "
+              "edge Y_2 x9 4; edge x9 beta 3; edge x10 Y_2 3"]
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS)
+def test_pair_gather_is_two_generator_steps(spec):
+    g = build_group(parse_diagram(spec))
+    elements = _seeded_elements(g, "pairs:" + spec, count=6)
+    for a in g.gens:
+        for b in g.gens:
+            step = g.pair_times(a, b)
+            assert step is g.pair_times(a, b)
+            for w in elements:
+                assert step(w) == g.times[b](g.times[a](w)) == _times(
+                    _times(w, g.simple(a)), g.simple(b))
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS)
+def test_a_group_holds_at_most_one_pair_gather_per_ordered_pair(spec):
+    g = build_group(parse_diagram(spec))
+    assert not g._pairs  # built on first use, not with the group
+    cap = len(g.gens) ** 2
+    rng = random.Random("pair-cap:" + spec)
+    eng = ArtinEngine(g)
+    for _ in range(20):
+        eng.normal_form([(rng.choice(g.gens), rng.choice((-3, -1, 1, 2)))
+                         for _ in range(rng.randrange(1, 60))])
+        assert len(g._pairs) <= cap
+    pairs = [(a, b) for a in g.gens for b in g.gens]
+    for a, b in pairs + rng.sample(pairs, cap):
+        g.pair_times(a, b)
+        assert len(g._pairs) <= cap
+    assert len(g._pairs) == cap
 
 
 def _all_elements(g):
