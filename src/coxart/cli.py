@@ -13,11 +13,11 @@ import os
 import sys
 
 from .curves import FAMILIES, build_system
-from .diagram import DiagramError, parse_diagram
+from .diagram import DiagramError, name_subset, parse_diagram
 from .folding import build_folded
 from .garside import ArtinEngine, BudgetExceeded, letter_budget, parse_word
 from .homology import h1_image, reflection_labels
-from .nerve import nerve, subdivision
+from .nerve import DEFAULT_MAX_RANK, nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
 from .suites import SUITES, run_suite
 from .wgroup import build_group
@@ -90,7 +90,7 @@ def cmd_pp_check(args):
     words = doc.get("words", {})
     if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
         raise RaagError("'words' must map simplex names to word strings")
-    system = WordSystem(cx, {frozenset(key.split("+")): parse_word(val)
+    system = WordSystem(cx, {name_subset(key): parse_word(val)
                              for key, val in words.items()})
     if args.split:
         l1, l2 = (part.split(",") for part in args.split)
@@ -230,7 +230,7 @@ def build_parser():
     p.add_argument("--what", choices=("nerve", "subdivision"), required=True)
     p.add_argument("--diagram", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--max-rank", type=int, default=12)
+    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     p.set_defaults(func=cmd_export)
     return parser
 
@@ -243,7 +243,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
         return 2
-    except (DiagramError, RaagError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -14,7 +14,8 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import CoxeterDiagram, DiagramError, sort_key, subset_name, type_diagram
+from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_name,
+                      type_diagram)
 from .garside import ArtinEngine, word_length
 from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
@@ -330,7 +331,7 @@ def _system_from_fixture(family, rank, doc):
         },
     )
     boundary = {
-        frozenset(key.split("+")): tuple(val)
+        name_subset(key): tuple(val)
         for key, val in doc["boundary"].items()
     }
     meets = {frozenset(p) for p in doc["intersections"]}
@@ -391,7 +392,7 @@ def reference_choice(system):
             failure = "stated A-family choice fails PP: %s"
         else:
             doc = _fixture("e6_folded.json" if system.family == "E6F" else "e8_folded.json")
-            by_subset = {frozenset(k.split("+")): v for k, v in doc["choice"].items()}
+            by_subset = {name_subset(k): v for k, v in doc["choice"].items()}
             reason = "stated folded-target choice satisfies Property PP"
             failure = "stated folded choice fails PP: %s"
         cm = ChoiceMap({frozenset(system.boundary[s]): c for s, c in by_subset.items()})
@@ -463,7 +464,7 @@ def e7_kernel_check(power=1):
 
     # each z_T becomes the multitwist about the boundary curves of T
     w_curves = e7_kernel_word_z()
-    images = {name: multitwist_word(system, name.split("+")) for name, _ in w_curves}
+    images = {name: multitwist_word(system, name_subset(name)) for name, _ in w_curves}
     leg3 = raag_is_trivial(system.complex, substitute(images, w_curves))
 
     return KernelReport(

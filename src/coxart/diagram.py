@@ -42,6 +42,18 @@ def subset_name(subset):
     return "+".join(sorted(subset, key=sort_key))
 
 
+def name_subset(name):
+    """The generator subset that `subset_name` names `name`."""
+    return frozenset(name.split("+"))
+
+
+def check_names(names, error=DiagramError):
+    """Raise `error` at a name holding '+', the joiner of subset names."""
+    for v in names:
+        if "+" in v:
+            raise error("vertex name %r holds '+', which joins subset names" % (v,))
+
+
 class FrozenRecord(object):
     """Base of an immutable record whose fields are plain instance
     attributes, which are faster to read than those of a tuple: closed to
@@ -81,18 +93,19 @@ class CoxeterDiagram(FrozenRecord):
 
     def __init__(self, vertices, labels=None):
         labels = {} if labels is None else labels
-        if len(set(vertices)) != len(vertices):
+        near = {v: set() for v in vertices}
+        if len(near) != len(vertices):
             raise DiagramError("duplicate vertex name")
+        check_names(vertices)
         for pair, m in labels.items():
             if len(pair) != 2:
                 raise DiagramError("self-label or malformed edge %r" % (pair,))
-            if not all(v in vertices for v in pair):
+            if not all(v in near for v in pair):
                 raise DiagramError("edge with unknown vertex %r" % (pair,))
             if m != INF and (not isinstance(m, int) or m < 3):
                 raise DiagramError("label must be an integer >= 3 or inf, got %r" % (m,))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "labels", labels)
-        near = {v: set() for v in vertices}
         for a, b in labels:
             near[a].add(b)
             near[b].add(a)
@@ -117,8 +130,8 @@ class CoxeterDiagram(FrozenRecord):
 
     def neighbors(self, v, subset=None):
         """The vertices of `subset` (default: all) joined to v by a label."""
-        return self._near.get(v, set()).intersection(
-            self.vertices if subset is None else subset)
+        near = self._near.get(v, set())
+        return set(near) if subset is None else near.intersection(subset)
 
     def induced(self, subset):
         """Full subdiagram on `subset`, vertex order inherited."""
@@ -138,8 +151,8 @@ def irreducible_components(diagram, subset=None):
     irreducible factors of the special subgroup.  Each component grows from
     its least vertex, met in order, so they come out ordered by least vertex.
     """
-    verts = list(diagram.vertices if subset is None else subset)
-    unknown = set(verts) - set(diagram.vertices)
+    verts = set(diagram.vertices if subset is None else subset)
+    unknown = verts - diagram._near.keys()
     if unknown:
         raise DiagramError("unknown vertices %s" % sorted(unknown))
     seen = set()
@@ -229,14 +242,14 @@ def _chain(diagram, comp, prev, v):
 
 def _classify_component(diagram, comp):
     """ComponentType of a connected induced subdiagram, or None if infinite."""
-    comp = sorted(comp, key=sort_key)
+    keep, comp = comp, sorted(comp, key=sort_key)
     n = len(comp)
     if n == 1:
         return ComponentType("A", 1, tuple(comp))
     if n == 2:
         return _classify_rank2(diagram, *comp)
 
-    edges = diagram.edges(comp)
+    edges = diagram.edges(keep)
     if len(edges) != n - 1:  # a cycle never has finite type
         return None
     if any(m == INF for _, _, m in edges):
@@ -246,14 +259,14 @@ def _classify_component(diagram, comp):
         return None
 
     # a tree: either a path or branched at a single vertex of degree 3
-    degs = [len(diagram.neighbors(v, comp)) for v in comp]
+    degs = [len(diagram.neighbors(v, keep)) for v in comp]
     if max(degs) > 2:
         if big or max(degs) > 3 or degs.count(3) != 1:
             return None  # label >= 4 on a branched tree, or two branch points
         # simply laced D_n or E_n; each branch listed from the center outward
         center = comp[degs.index(3)]
         branches = sorted(
-            (_chain(diagram, comp, center, v) for v in diagram.neighbors(center, comp)),
+            (_chain(diagram, keep, center, v) for v in diagram.neighbors(center, keep)),
             key=lambda b: (len(b), sort_key(b[0])))
         lens = tuple(len(b) for b in branches)
         if lens[0] == 1 and lens[1] == 1:
@@ -268,7 +281,7 @@ def _classify_component(diagram, comp):
         return None
 
     # a path, read from its first end
-    path = _chain(diagram, comp, None, comp[degs.index(1)])
+    path = _chain(diagram, keep, None, comp[degs.index(1)])
     if not big:
         return ComponentType("A", n, tuple(path))
     a, b, m = big[0]

@@ -87,35 +87,31 @@ def _validate_fold(fold):
     generators, and N/(m-1) copies of Gamma(m) between the fibers of an
     edge labelled m."""
     src, tgt = fold.source, fold.target
+    fibers = {g: set(f) for g, f in fold.fibers.items()}
     for g in src.vertices:
         fib = fold.fibers[g]
         if len(fib) != fold.fiber_size:
             raise DiagramError("fold: fiber of %s has %d vertices, not %d"
                                % (g, len(fib), fold.fiber_size))
-        for i, x in enumerate(fib):
-            for y in fib[i + 1:]:
-                if tgt.m(x, y) != 2:
-                    raise DiagramError("fold: edge %s-%s inside the fiber of %s"
-                                       % (x, y, g))
+        # the first vertex with a neighbour in its fiber meets it later on
+        for x in fib:
+            inside = tgt.neighbors(x, fibers[g])
+            if inside:
+                raise DiagramError("fold: edge %s-%s inside the fiber of %s"
+                                   % (x, min(inside, key=fib.index), g))
     for a in src.vertices:
         for b in src.vertices:
             if sort_key(a) >= sort_key(b):
                 continue
             m = src.m(a, b)
-            cross = [
-                (x, y)
-                for x in fold.fibers[a]
-                for y in fold.fibers[b]
-                if tgt.m(x, y) != 2
-            ]
             if m == 2:
-                if cross:
+                if any(tgt.neighbors(x, fibers[b]) for x in fibers[a]):
                     raise DiagramError("fold: fibers of commuting generators %s, %s "
                                        "touch" % (a, b))
                 continue
             # the induced graph on the two fibers must be exactly
             # N/(m-1) copies of Gamma(m), i.e. 2N/(m-1) paths of type A_(m-1)
-            sub = tgt.induced(set(fold.fibers[a]) | set(fold.fibers[b]))
+            sub = tgt.induced(fibers[a] | fibers[b])
             comps = irreducible_components(sub)
             types = (finite_type(sub, c) for c in comps)
             if len(comps) != 2 * fold.fiber_size // (m - 1) or not all(

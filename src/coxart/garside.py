@@ -134,15 +134,8 @@ class ArtinEngine(object):
     """Normal-form machine for the spherical Artin group of a WGroup."""
 
     def __init__(self, wgroup, budget=None):
-        self.w = wgroup
+        self.w = w = wgroup
         self.budget = letter_budget(budget)
-        w = wgroup
-        self._tau_gen = {}
-        for g in w.gens:
-            image = self.tau(w.simple(g))
-            match = [h for h in w.gens if w.simple(h) == image]
-            assert len(match) == 1, "conjugation by Delta must permute generators"
-            self._tau_gen[g] = match[0]
         # generator -> (index of alpha_g, gather of s_g, s_g), for push_word
         # and _fix_pair, which apply letters in pairs through w.pair_times
         self._steps = {g: (w.alpha_index(g), w.times[g], w.simple(g)) for g in w.gens}
@@ -156,11 +149,13 @@ class ArtinEngine(object):
         """Raise BudgetExceeded unless a word of this many letters fits."""
         check_budget("garside normal form", letters, self.budget)
 
-    def tau_generator(self, g):
-        return self._tau_gen[g]
-
     def normal_form(self, word):
         """Canonical (inf, canon) of an Artin word over the group generators."""
+        self.check_letters(word_length(word))
+        return self._read(word)
+
+    def _read(self, word):
+        """The normal form of a word the budget has already passed."""
         state = _NFState(self)
         state.push_word(word)
         return state.readout()
@@ -183,7 +178,7 @@ class ArtinEngine(object):
     def commutes(self, w1, w2):
         """Whether w1 w2 = w2 w1, each word read once."""
         self.check_letters(word_length(w1) + word_length(w2))
-        a, b = self.normal_form(w1), self.normal_form(w2)
+        a, b = self._read(w1), self._read(w2)
         return self.multiply(a, b) == self.multiply(b, a)
 
 
@@ -214,7 +209,6 @@ class _NFState(object):
         pair gather; a run's odd last letter enters by the gather of p."""
         eng = self.engine
         w = eng.w
-        eng.check_letters(word_length(word))
         n = w.n_pos
         steps = eng._steps
         pair = w.pair_times

@@ -13,7 +13,7 @@ from .diagram import (
     sort_key,
     subset_name,
 )
-from .garside import delta_power
+from .garside import check_budget, delta_power, letter_budget
 from .raag import FlagComplex, RaagError, substitute
 
 DEFAULT_MAX_RANK = 12
@@ -139,10 +139,12 @@ def phi_word(diagram, n_power, raag_word, subdivided=None):
     if n_power < 1:
         raise ValueError("N must be a positive integer")
     sub = subdivided if subdivided is not None else subdivision(diagram)
-    images = {}
+    deltas = {}
     for name, _ in raag_word:
         if name not in sub.vertex_subsets:
             raise RaagError("unknown subdivision vertex %r" % (name,))
-        if name not in images:
-            images[name] = delta_power(diagram, sub.vertex_subsets[name], 2 * n_power)
-    return substitute(images, raag_word)
+        if name not in deltas:
+            deltas[name] = delta_power(diagram, sub.vertex_subsets[name], 1)
+    letters = 2 * n_power * sum(abs(e) * len(deltas[v]) for v, e in raag_word)
+    check_budget("phi word", letters, letter_budget())  # before the image is built
+    return substitute({name: d * (2 * n_power) for name, d in deltas.items()}, raag_word)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .diagram import FrozenRecord, sort_key, subset_name
+from .diagram import FrozenRecord, check_names, sort_key, subset_name
 
 
 class RaagError(ValueError):
@@ -93,11 +93,16 @@ class FlagComplex(FrozenRecord):
             return False
         return all((self.neighbours[i] | 1 << i) & mask == mask for i in ids)
 
-    def full_subcomplex(self, keep):
-        keep = set(keep)
-        unknown = keep - self._index.keys()
+    def vertex_set(self, vs):
+        """`vs` as a set; RaagError unless each is a vertex."""
+        vs = set(vs)
+        unknown = vs - self._index.keys()
         if unknown:
             raise RaagError("unknown vertices %s" % sorted(unknown))
+        return vs
+
+    def full_subcomplex(self, keep):
+        keep = self.vertex_set(keep)
         vs = self.vertices
         kept = [i for i, v in enumerate(vs) if v in keep]
         mask = sum(1 << i for i in kept)
@@ -150,6 +155,7 @@ def complex_from_json(doc):
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
             raise RaagError("bad edge %r" % (e,))
+    check_names(vertices, RaagError)  # pp-check keys join vertex names
     return FlagComplex(vertices, [tuple(e) for e in edges])
 
 
@@ -273,10 +279,7 @@ def raag_commutes(complex_, w1, w2):
 
 def retraction(complex_, keep, word):
     """Kill the letters outside `keep`; a retraction onto a full subcomplex."""
-    keep = set(keep)
-    unknown = keep - set(complex_.vertices)
-    if unknown:
-        raise RaagError("unknown vertices %s" % sorted(unknown))
+    keep = complex_.vertex_set(keep)
     _check_letters(complex_, word)
     return normalize_syllables([(v, e) for v, e in word if v in keep])
 
@@ -298,14 +301,6 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     free = [every & ~(m | 1 << i) for i, m in enumerate(nbrs)]
     keep = [m & -(2 << i) for i, m in enumerate(nbrs)]
 
-    def emit(word):
-        if skip_cyclically_reducible and len(word) >= 2:
-            v0, e0 = word[0]
-            v1, e1 = word[-1]
-            if v0 == v1 and (e0 > 0) != (e1 > 0):
-                return False
-        return True
-
     def rec(word, used, allowed):
         for i in bit_positions(allowed):
             v = verts[i]
@@ -313,7 +308,9 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
             for mag in range(1, max_len - used + 1):
                 for e in (mag, -mag):
                     word.append((v, e))
-                    if emit(word):
+                    # x^a u x^b, a and b of opposite signs, is conjugate to a shorter word
+                    if not (skip_cyclically_reducible and used and word[0][0] == v
+                            and (word[0][1] > 0) != (e > 0)):
                         yield list(word)
                     if used + mag < max_len:
                         yield from rec(word, used + mag, after)
@@ -460,10 +457,7 @@ def validate_choice(system, choice):
 
 def avoidance_check(system, l0_vertices, choice):
     """Both conditions for the choice map to avoid the subcomplex on l0."""
-    l0 = set(l0_vertices)
-    unknown = l0 - set(system.complex.vertices)
-    if unknown:
-        raise RaagError("unknown vertices %s" % sorted(unknown))
+    l0 = system.complex.vertex_set(l0_vertices)
     sims = system.simplices()
     for s in sims:
         if s <= l0:
@@ -504,8 +498,7 @@ def generalized_pp_check(system, l1_vertices, l2_vertices):
     per side for one avoiding L0 = L1 cap L2.
     """
     l1, l2 = set(l1_vertices), set(l2_vertices)
-    all_vs = set(system.complex.vertices)
-    if l1 | l2 != all_vs:
+    if l1 | l2 != system.complex._index.keys():
         raise RaagError("L1 and L2 must cover the vertex set")
     for a, b in system.complex.edge_pairs():
         if not (a in l1 and b in l1 or a in l2 and b in l2):

@@ -41,7 +41,7 @@ from .garside import (
     word_length,
 )
 from .homology import h1_image, independence_check, longest_hyperplane_audit
-from .nerve import complex_on_subsets, nested_or_commuting, subdivision
+from .nerve import DEFAULT_MAX_RANK, complex_on_subsets, nested_or_commuting, subdivision
 from .raag import (
     FlagComplex,
     RaagError,
@@ -184,7 +184,7 @@ def _coxeter_elements(group):
                 if g not in subset:
                     into = larger.setdefault(subset | {g}, {})
                     for c, ordering in elements.items():
-                        into.setdefault(group.mul_gen(c, g), ordering + (g,))
+                        into.setdefault(group.times[g](c), ordering + (g,))
         layer = larger
     (elements,) = layer.values()
     return elements
@@ -202,11 +202,12 @@ def _delta_sq_central(engine):
 
 def _delta_tau(engine):
     eng = engine()
-    diagram = eng.w.diagram
+    w, diagram = eng.w, eng.w.diagram
     delta = delta_word(diagram, diagram.vertices, 1)
+    by_simple = {w.simple(h): h for h in diagram.vertices}
     for g in diagram.vertices:
-        image = eng.tau_generator(g)
-        assert image in diagram.vertices
+        image = by_simple.get(eng.tau(w.simple(g)))
+        assert image is not None, "conjugation by Delta must permute generators"
         # word level: Delta^-1 x_g Delta = x_tau(g)
         lhs = raag_inverse(delta) + [(g, 1)] + delta
         assert eng.equals(lhs, [(image, 1)])
@@ -735,10 +736,14 @@ def suite_gtc_bounded(type=None, N=None, max_len=None, budget=None):
         if not isinstance(type, str):
             raise ValueError("suite option 'type' must be a diagram string, "
                              "got %s" % json.dumps(type))
-        # a malformed or non-spherical diagram is a usage error
-        if not finite_type(parse_diagram(type)).is_spherical:
+        # a malformed, non-spherical or too large diagram is a usage error
+        diagram = parse_diagram(type)
+        if not finite_type(diagram).is_spherical:
             raise ValueError("gtc-bounded needs a spherical diagram, got %s"
                              % json.dumps(type))
+        if len(diagram.vertices) > DEFAULT_MAX_RANK:
+            raise ValueError("gtc-bounded needs at most %d generators, got %d"
+                             % (DEFAULT_MAX_RANK, len(diagram.vertices)))
         cases = [(type, _int_option("N", 1 if N is None else N, 1),
                   _int_option("max_len", 6 if max_len is None else max_len, 1))]
     for spec, n_power, max_len in cases:

@@ -266,10 +266,6 @@ class WGroup(object):
         # one C-level gather; itemgetter() of no index raises, hence the guard
         return itemgetter(*v)(u) if v else ()
 
-    def mul_gen(self, w, g):
-        """w * s_g (right multiplication by a generator)."""
-        return self.times[g](w)
-
     def pair_times(self, g, h):
         """The gather of s_g s_h: pair_times(g, h)(w) is w s_g s_h, one
         C-level call.  Built on first use and kept, at most one per ordered

@@ -135,6 +135,25 @@ def test_pp_check_malformed_files_exit_two(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, err
 
 
+def test_plus_in_a_vertex_name_is_a_usage_error(tmp_path, capsys):
+    # subset names join generator names with '+', so the singleton {s1+s2}
+    # and the pair {s1, s2} would share a subdivision vertex
+    code, out, err = run(capsys, "export", "--what", "subdivision", "--diagram",
+                         "vertex s1; vertex s2; vertex s1+s2; edge s1 s2 3")
+    assert (code, out, err) == (
+        2, "", "error: vertex name 's1+s2' holds '+', which joins subset names\n")
+    code, out, err = run(capsys, "verify", "gtc-bounded", "--config", json.dumps(
+        {"type": "vertex a; vertex b; edge a b 3; vertex a+b"}))
+    assert (code, out, err) == (
+        2, "", "error: vertex name 'a+b' holds '+', which joins subset names\n")
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "a+b"], "edges": [["a", "b"]],
+                                "words": {"a": "a", "b": "b", "a+b": "a b"}}))
+    code, out, err = run(capsys, "pp-check", "--words", str(path))
+    assert (code, out, err) == (
+        2, "", "error: vertex name 'a+b' holds '+', which joins subset names\n")
+
+
 def test_verify_exit_codes_and_determinism(capsys):
     code1, out1, _ = run(capsys, "verify", "tits-classic", "--json")
     code2, out2, _ = run(capsys, "verify", "tits-classic", "--json")
@@ -161,6 +180,8 @@ def test_usage_errors_exit_two(capsys):
                  ("verify", "gtc-bounded", "--config",
                   '{"type": "vertex a; vertex b; vertex c; edge a b 3; '
                   'edge b c 3; edge a c 3", "max_len": 2}'),
+                 ("verify", "gtc-bounded", "--config",
+                  '{"type": "type A 13", "max_len": 1}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
                  ("verify", "dn-curves", "--config", '{"ranks": []}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [4, 5, 4]}'),

@@ -1,6 +1,10 @@
+import ast
 import hashlib
+import os
 
 import pytest
+
+import coxart
 
 from coxart.diagram import (
     DiagramError,
@@ -260,3 +264,41 @@ def test_component_orders_pinned(key):
         subsets = subdivision(d).vertex_subsets
         blob = [_components(d)] + [_components(d, subsets[k]) for k in sorted(subsets)]
     assert hashlib.sha256(repr(blob).encode()).hexdigest() == COMPONENT_DIGESTS[key]
+
+
+def test_subset_names_round_trip_and_plus_names_are_refused():
+    from coxart.diagram import CoxeterDiagram, name_subset, subset_name
+    from coxart.raag import RaagError, complex_from_json
+
+    for subset in ({"s1"}, {"s2", "s10", "s1"}, {"a~1", "b~2"}):
+        assert name_subset(subset_name(subset)) == frozenset(subset)
+    # the singleton {s1+s2} and the pair {s1, s2} would share one name
+    with pytest.raises(DiagramError, match=r"^vertex name 's1\+s2' holds '\+'"):
+        parse_diagram("vertex s1; vertex s2; vertex s1+s2; edge s1 s2 3")
+    with pytest.raises(DiagramError, match=r"'\+b'"):
+        CoxeterDiagram(("a", "+b"))
+    with pytest.raises(RaagError, match=r"^vertex name 'a\+b' holds '\+'"):
+        complex_from_json({"vertices": ["a", "b", "a+b"], "edges": [["a", "b"]]})
+
+
+def _plus_splits_and_joins(tree):
+    """The calls in `tree` that join on "+" or split on it."""
+    def is_plus(node):
+        return isinstance(node, ast.Constant) and node.value == "+"
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "join" and is_plus(node.func.value)
+                 or node.func.attr in ("split", "rsplit", "partition", "rpartition")
+                 and node.args and is_plus(node.args[0]))]
+
+
+def test_only_the_diagram_module_spells_subset_names():
+    # subset_name and name_subset own the "+"-joined format of subset names
+    src = os.path.dirname(coxart.__file__)
+    found = {}
+    for module in sorted(os.listdir(src)):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module)) as fh:
+                found[module] = _plus_splits_and_joins(ast.parse(fh.read(), module))
+    assert len(found.pop("diagram.py")) == 2  # the detector sees the owner's pair
+    assert not any(found.values()), found

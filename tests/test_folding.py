@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import coxart
 
-from coxart.diagram import DiagramError, parse_diagram, type_diagram
+from coxart.diagram import CoxeterDiagram, DiagramError, parse_diagram, type_diagram
 from coxart.folding import (
+    _validate_fold,
     build_folded,
     component_report,
     component_subsets,
@@ -275,3 +277,43 @@ FOLD_DIGESTS = {
 def test_fold_json_pinned(fam, n, p):
     text = json.dumps(build_folded(type_diagram(fam, n, p)).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FOLD_DIGESTS[fam, n, p]
+
+
+def _relabelled(fold, add=(), drop=()):
+    """`fold` with target labels 3 added on the pairs `add` and removed from
+    the pairs `drop`."""
+    labels = {p: m for p, m in fold.target.labels.items() if p not in map(frozenset, drop)}
+    labels.update((frozenset(p), 3) for p in add)
+    return fold._replace(target=CoxeterDiagram(fold.target.vertices, labels))
+
+
+def test_validate_fold_names_each_planted_fault():
+    i24 = build_folded(type_diagram("I", 2, 4))  # N = 3, one copy of Gamma(4)
+    a3 = build_folded(type_diagram("A", 3))  # s1 and s3 commute
+    _validate_fold(i24)
+    _validate_fold(a3)
+    planted = (
+        (i24._replace(fibers=dict(i24.fibers, s1=i24.fibers["s1"][:2])),
+         "fold: fiber of s1 has 2 vertices, not 3"),
+        (_relabelled(i24, add=[("s1~3", "s1~2"), ("s2~1", "s2~3")]),
+         "fold: edge s1~2-s1~3 inside the fiber of s1"),
+        (_relabelled(a3, add=[("s3~2", "s1~1")]),
+         "fold: fibers of commuting generators s1, s3 touch"),
+        (_relabelled(i24, drop=[next(iter(i24.target.labels))]),
+         "fold: fibers of s1, s2 are not 2 paths of type A_3"),
+    )
+    for fold, message in planted:
+        with pytest.raises(DiagramError) as info:
+            _validate_fold(fold)
+        assert str(info.value) == message
+
+
+def test_fold_with_a_large_label_is_not_quadratic():
+    # fiber size 4800: a quadratic scan of the fibers or of the target's
+    # vertex tuple would take minutes here
+    t0 = time.perf_counter()
+    fold = build_folded(type_diagram("I", 2, 4801))
+    json.dumps(fold.to_json(), sort_keys=True)
+    assert time.perf_counter() - t0 < 5.0
+    assert fold.fiber_size == 4800 and len(fold.target.labels) == 2 * 4799
+    assert [r.tag for r in component_report(fold)] == ["A_4800", "A_4800"]

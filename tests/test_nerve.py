@@ -1,7 +1,7 @@
 import pytest
 
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
-from coxart.garside import ArtinEngine, delta_power, parse_word
+from coxart.garside import ArtinEngine, BudgetExceeded, delta_power, parse_word
 from coxart.homology import independence_check
 from coxart.nerve import (
     complex_on_subsets,
@@ -171,3 +171,23 @@ def test_b3_simplex_free_abelian_certificates():
             for j in range(i + 1, 3):
                 assert eng.commutes(words[i], words[j])
         assert independence_check(group, words)
+
+
+def test_phi_word_meets_the_letter_budget_before_expanding(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    d = type_diagram("A", 3)
+    sub = subdivision(d)
+    word = [(subset_name(d.vertices), 1), ("s1", -1)]  # |Delta_T| = 6 and 1
+    assert len(phi_word(d, 1, word, sub)) == 2 * 7
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            phi_word(d, 10 ** 6, word, sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("phi word: word of 14000000 letters exceeds the "
+                               "letter budget 1000000")
+    assert peak < 100_000, "refusing the word peaked at %d bytes" % peak

@@ -274,7 +274,7 @@ def test_compose_is_a_gather_and_associative(fam, n, p):
         assert g.compose(uv, w) == g.compose(u, g.compose(v, w))
         for x in g.gens:
             word = g.reduced_word(u)
-            assert g.mul_gen(u, x) == g.word_to_element(word + (x,))
+            assert g.times[x](u) == g.word_to_element(word + (x,))
             assert g.compose(g.simple(x), u) == g.word_to_element((x,) + word)
         assert g.compose(g.inverse(u), u) == g.identity == g.compose(u, g.inverse(u))
 
@@ -465,7 +465,6 @@ def test_every_gather_step_is_a_right_multiplication(spec):
             right = g.compose(w, g.simple(x))
             assert right == _times(w, g.simple(x))
             assert g.times[x](w) == right
-            assert g.mul_gen(w, x) == right
     rng = random.Random(spec)
     word = rng.choices(g.gens, k=50)
     expected = tuple(range(g.size))
