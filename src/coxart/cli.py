@@ -15,7 +15,7 @@ import sys
 from .curves import FAMILIES, build_system
 from .diagram import DiagramError, name_subset, parse_diagram
 from .folding import build_folded
-from .garside import ArtinEngine, BudgetExceeded, letter_budget, parse_word
+from .garside import RUN_BUDGET, ArtinEngine, BudgetExceeded, letter_budget, parse_word
 from .homology import h1_image, reflection_labels
 from .nerve import DEFAULT_MAX_RANK, nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
@@ -44,15 +44,16 @@ def _emit(args, doc, text):
 
 
 def cmd_nf(args):
-    eng = ArtinEngine(build_group(_load_diagram(args.group)), args.budget)
+    eng = ArtinEngine(build_group(_load_diagram(args.group)))
     nf = eng.normal_form(parse_word(args.word))
     canon = ["".join(eng.w.reduced_word(u)) for u in nf.canon]
-    _emit(args, {"inf": nf.inf, "canon": canon}, nf.describe())
+    _emit(args, {"inf": nf.inf, "canon": canon},
+          "inf=%d; canon=%s" % (nf.inf, "|".join(canon)))
     return 0
 
 
 def cmd_commute(args):
-    eng = ArtinEngine(build_group(_load_diagram(args.group)), args.budget)
+    eng = ArtinEngine(build_group(_load_diagram(args.group)))
     result = eng.commutes(parse_word(args.w1), parse_word(args.w2))
     _emit(args, {"commute": result}, "commute" if result else "do not commute")
     return 0
@@ -60,7 +61,7 @@ def cmd_commute(args):
 
 def cmd_h1(args):
     group = build_group(_load_diagram(args.group))
-    vec = h1_image(group, parse_word(args.word), args.budget)
+    vec = h1_image(group, parse_word(args.word))
     labels = reflection_labels(group, [r for r, _ in vec.coeffs])
     entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
     text = " ".join("%s:%d" % (k, v) for k, v in sorted(entries.items()))
@@ -128,8 +129,6 @@ def cmd_verify(args):
         if not isinstance(config, dict):
             raise ValueError("--config must be a JSON object, got %s"
                              % type(config).__name__)
-    if args.budget is not None:
-        config["budget"] = args.budget
     letter_budget()  # a bad COXART_LETTER_BUDGET is a usage error, not a FAIL
     result = run_suite(args.suite, config)
     if args.json:
@@ -171,14 +170,14 @@ def build_parser():
         prog="coxart",
         description="Exact computations in Artin and Coxeter groups. "
         "Group/diagram arguments take a file path or inline text such as "
-        "'type A 3' or 'vertex s; vertex t; edge s t 4'. The positive-word "
-        "budget honors the COXART_LETTER_BUDGET environment variable.",
+        "'type A 3' or 'vertex s; vertex t; edge s t 4'. The letter budget "
+        "is --budget, else the COXART_LETTER_BUDGET environment variable.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
+    def common(p, budget_flag=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if budget:
+        if budget_flag:
             p.add_argument("--budget", type=_budget, default=None,
                            help="letter budget override")
 
@@ -216,7 +215,7 @@ def build_parser():
                    help="JSON file: vertices, edges, words")
     p.add_argument("--split", nargs=2, metavar=("L1", "L2"),
                    help="comma-separated vertex lists for the two parts")
-    common(p, budget=False)
+    common(p, budget_flag=False)
     p.set_defaults(func=cmd_pp_check)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -238,6 +237,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --budget holds for this command only; without it the caller's budget stands
+    token = RUN_BUDGET.set(getattr(args, "budget", None) or RUN_BUDGET.get())
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -246,6 +247,8 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        RUN_BUDGET.reset(token)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_name,
                       type_diagram)
-from .garside import ArtinEngine, word_length
+from .garside import ArtinEngine, BudgetExceeded, word_length
 from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
     ChoiceMap,
@@ -446,7 +446,8 @@ def e7_kernel_check(power=1):
 
     (i) nontrivial in RA of the E_7 subdivision, (ii) nontrivial in the
     Artin group by Garside normal form, (iii) trivial in the curve RAAG of
-    the figure system after substituting multitwist words.
+    the figure system after substituting multitwist words.  An Artin leg over
+    the letter budget holds its BudgetExceeded, and legs (i) and (iii) decide.
     """
     system = build_e7_figure()
     diagram = system.diagram
@@ -457,27 +458,24 @@ def e7_kernel_check(power=1):
     path = sub.complex.full_subcomplex({name for name, _ in zword})
     leg1_path = not raag_is_trivial(path, zword)
 
-    # the power is already in the exponents of zword
-    artin_word = phi_word(diagram, 1, zword, sub)
-    nf = ArtinEngine(build_group(diagram)).normal_form(artin_word)
-    leg2 = not nf.is_trivial()
+    detail = {"raag_retraction_nontrivial": leg1_path}
+    try:
+        # the power is already in the exponents of zword
+        artin_word = phi_word(diagram, 1, zword, sub)
+        nf = ArtinEngine(build_group(diagram)).normal_form(artin_word)
+        leg2 = not nf.is_trivial()
+        detail.update(artin_word_length=word_length(artin_word),
+                      artin_normal_form_inf=nf.inf,
+                      artin_canonical_length=nf.canonical_length)
+    except BudgetExceeded as exc:
+        leg2 = exc
 
     # each z_T becomes the multitwist about the boundary curves of T
     w_curves = e7_kernel_word_z()
     images = {name: multitwist_word(system, name_subset(name)) for name, _ in w_curves}
     leg3 = raag_is_trivial(system.complex, substitute(images, w_curves))
 
-    return KernelReport(
-        leg1 and leg1_path,
-        leg2,
-        leg3,
-        {
-            "raag_retraction_nontrivial": leg1_path,
-            "artin_word_length": word_length(artin_word),
-            "artin_normal_form_inf": nf.inf,
-            "artin_canonical_length": nf.canonical_length,
-        },
-    )
+    return KernelReport(leg1 and leg1_path, leg2, leg3, detail)
 
 
 LanternReport = namedtuple("LanternReport",
@@ -494,7 +492,8 @@ def lantern_check():
 
     The two boundary twists commute in the Artin group while the defining
     z-words do not commute in RA of the subdivision; the retraction onto
-    the two six-puncture generators already separates them.
+    the two six-puncture generators already separates them.  Twists over
+    the letter budget leave their BudgetExceeded as `artin_commute`.
     """
     diagram = type_diagram("A", 7, prefix="t")
     # The two leading inverse twists of each word commute with the four
@@ -514,9 +513,11 @@ def lantern_check():
 
     z_red, z_blue = z_word(intervals_r), z_word(intervals_b)
     sub = subdivision(diagram)
-    eng = ArtinEngine(build_group(diagram))
-    artin_commute = eng.commutes(phi_word(diagram, 1, z_red, sub),
-                                 phi_word(diagram, 1, z_blue, sub))
+    try:
+        artin_commute = ArtinEngine(build_group(diagram)).commutes(
+            phi_word(diagram, 1, z_red, sub), phi_word(diagram, 1, z_blue, sub))
+    except BudgetExceeded as exc:
+        artin_commute = exc
     raag_comm = raag_commutes(sub.complex, z_red, z_blue)
 
     keep = [

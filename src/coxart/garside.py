@@ -22,6 +22,7 @@ cached type models (wgroup.longest_word), so building it builds no group.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from operator import itemgetter
 
@@ -31,17 +32,20 @@ from .wgroup import longest_word
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
 _BUDGET_ENV = "COXART_LETTER_BUDGET"
+#: the letter budget of the current context (one CLI command); None reads the variable
+RUN_BUDGET = contextvars.ContextVar("RUN_BUDGET", default=None)
 
 
 class BudgetExceeded(RuntimeError):
     """A word expansion passed the configured letter budget."""
 
 
-def letter_budget(override=None):
-    """`override`, else COXART_LETTER_BUDGET, else the default; the variable
+def letter_budget():
+    """RUN_BUDGET, else COXART_LETTER_BUDGET, else the default; the variable
     must hold an integer >= 1."""
-    if override is not None:
-        return override
+    budget = RUN_BUDGET.get()
+    if budget is not None:
+        return budget
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_LETTER_BUDGET
@@ -54,9 +58,10 @@ def letter_budget(override=None):
     return value
 
 
-def check_budget(layer, letters, budget):
+def check_budget(layer, letters):
     """Raise BudgetExceeded before `layer` reads a word of more letters than
-    the budget."""
+    the letter budget."""
+    budget = letter_budget()
     if letters > budget:
         raise BudgetExceeded("%s: word of %d letters exceeds the letter budget %d"
                              % (layer, letters, budget))
@@ -125,17 +130,12 @@ class GarsideElement(object):
     def is_trivial(self):
         return self.inf == 0 and not self.canon
 
-    def describe(self):
-        words = ["".join(self.engine.w.reduced_word(u)) for u in self.canon]
-        return "inf=%d; canon=%s" % (self.inf, "|".join(words))
-
 
 class ArtinEngine(object):
     """Normal-form machine for the spherical Artin group of a WGroup."""
 
-    def __init__(self, wgroup, budget=None):
+    def __init__(self, wgroup):
         self.w = w = wgroup
-        self.budget = letter_budget(budget)
         # generator -> (index of alpha_g, gather of s_g, s_g), for push_word
         # and _fix_pair, which apply letters in pairs through w.pair_times
         self._steps = {g: (w.alpha_index(g), w.times[g], w.simple(g)) for g in w.gens}
@@ -145,13 +145,9 @@ class ArtinEngine(object):
         w = self.w
         return w.compose(w.w0, w.compose(u, w.w0))
 
-    def check_letters(self, letters):
-        """Raise BudgetExceeded unless a word of this many letters fits."""
-        check_budget("garside normal form", letters, self.budget)
-
     def normal_form(self, word):
         """Canonical (inf, canon) of an Artin word over the group generators."""
-        self.check_letters(word_length(word))
+        check_budget("garside normal form", word_length(word))
         return self._read(word)
 
     def _read(self, word):
@@ -177,7 +173,7 @@ class ArtinEngine(object):
 
     def commutes(self, w1, w2):
         """Whether w1 w2 = w2 w1, each word read once."""
-        self.check_letters(word_length(w1) + word_length(w2))
+        check_budget("garside normal form", word_length(w1) + word_length(w2))
         a, b = self._read(w1), self._read(w2)
         return self.multiply(a, b) == self.multiply(b, a)
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import DiagramError, type_diagram
-from .garside import check_budget, letter_budget, word_length
+from .garside import check_budget, word_length
 from .wgroup import build_group
 
 
@@ -43,7 +43,7 @@ def is_pure(group, word):
         g for g, e in word if e % 2 or g not in group.gens) == group.identity
 
 
-def h1_image(group, word, budget=None):
+def h1_image(group, word):
     """Class of a pure Artin word in H_1 of the pure Artin group.
 
     Walks the word once, one syllable at a time; the letter x_s^(+-1)
@@ -57,7 +57,7 @@ def h1_image(group, word, budget=None):
     count.  A word of more letters than the letter budget raises
     BudgetExceeded before the walk, an unknown letter DiagramError.
     """
-    check_budget("h1 image", word_length(word), letter_budget(budget))
+    check_budget("h1 image", word_length(word))
     n = group.n_pos
     acc = {}
     prefix = group.identity

@@ -13,7 +13,7 @@ from .diagram import (
     sort_key,
     subset_name,
 )
-from .garside import check_budget, delta_power, letter_budget
+from .garside import check_budget, delta_power
 from .raag import FlagComplex, RaagError, substitute
 
 DEFAULT_MAX_RANK = 12
@@ -146,5 +146,5 @@ def phi_word(diagram, n_power, raag_word, subdivided=None):
         if name not in deltas:
             deltas[name] = delta_power(diagram, sub.vertex_subsets[name], 1)
     letters = 2 * n_power * sum(abs(e) * len(deltas[v]) for v, e in raag_word)
-    check_budget("phi word", letters, letter_budget())  # before the image is built
+    check_budget("phi word", letters)  # before the image is built
     return substitute({name: d * (2 * n_power) for name, d in deltas.items()}, raag_word)

@@ -127,11 +127,6 @@ def _int_option(key, value, least):
     return value
 
 
-def _budget(budget):
-    """The letter budget option: absent (the engine default) or an integer >= 1."""
-    return None if budget is None else _int_option("budget", budget, 1)
-
-
 def _tag(fam, n, p):
     return "%s%d%s" % (fam, n, "(%d)" % p if p else "")
 
@@ -568,7 +563,7 @@ def _restrict_to(vertices, word):
     return [(g, e) for g, e in word if g in keep]
 
 
-def _psi_relations(fold, budget):
+def _psi_relations(fold):
     """Every defining braid relation lands on a Garside equality in each
     component of the fold target.  Relations over the letter budget are
     counted, and skip the check if there are any."""
@@ -587,7 +582,7 @@ def _psi_relations(fold, budget):
                 continue
             key = frozenset(comp)
             if key not in engines:
-                engines[key] = ArtinEngine(build_group(fold.target, comp), budget)
+                engines[key] = ArtinEngine(build_group(fold.target, comp))
             try:
                 assert engines[key].equals(wl, wr), (
                     "relation %s%s broken in component %s"
@@ -651,14 +646,13 @@ def raaginj_mechanics(fold, src, images):
                 )
 
 
-def suite_folding(budget=None, f_max_len=4):
-    budget = _budget(budget)
+def suite_folding(f_max_len=4):
     max_len = _int_option("f_max_len", f_max_len, 1)
     for fam, n, p, expected in _FOLD_CASES:
         tag = _tag(fam, n, p)
         fold = _lazy(build_folded, type_diagram(fam, n, p))
         yield "fold-components-%s" % tag, partial(_fold_components, fold, expected)
-        yield "psi-relations-%s" % tag, partial(_psi_relations, fold, budget)
+        yield "psi-relations-%s" % tag, partial(_psi_relations, fold)
         yield "f-injective-%s" % tag, partial(_f_injective, fold, max_len)
 
 
@@ -681,21 +675,21 @@ def _f_injective(fold, max_len):
 
 # -- gtc-bounded -----------------------------------------------------------
 
-def gtc_bounded_check(diagram, n_power, max_len, budget=None):
+def gtc_bounded_check(diagram, n_power, max_len):
     """Certify no nontrivial word of RA of length <= max_len dies under the
     substitution z_T -> Delta_T^(2N) into the Artin group."""
     sub = subdivision(diagram)
     group = build_group(diagram)
-    eng = ArtinEngine(group, budget)
+    eng = ArtinEngine(group)
     # Delta_T^(2N) has 2N letters per reflection of T.  The budget is met
     # before any image is expanded: the commuting-pair checks hand two
     # images at a time to the engine, and the h1 certificate walks each one.
     letters = {name: 2 * n_power * len(delta_word(diagram, subset))
                for name, subset in sub.vertex_subsets.items()}
     for a, b in sub.complex.edge_pairs():
-        eng.check_letters(letters[a] + letters[b])
+        check_budget("garside normal form", letters[a] + letters[b])
     for count in letters.values():
-        check_budget("h1 image", count, eng.budget)
+        check_budget("h1 image", count)
     images = {
         name: delta_power(diagram, subset, 2 * n_power)
         for name, subset in sub.vertex_subsets.items()
@@ -722,10 +716,9 @@ _GTC_CASES = (
 )
 
 
-def suite_gtc_bounded(type=None, N=None, max_len=None, budget=None):
+def suite_gtc_bounded(type=None, N=None, max_len=None):
     """The default cases, or the one case `type` with N (default 1) and
     max_len (default 6)."""
-    budget = _budget(budget)
     if type is None:
         given = [key for key, value in (("N", N), ("max_len", max_len))
                  if value is not None]
@@ -748,11 +741,11 @@ def suite_gtc_bounded(type=None, N=None, max_len=None, budget=None):
                   _int_option("max_len", 6 if max_len is None else max_len, 1))]
     for spec, n_power, max_len in cases:
         yield ("gtc-%s-N%d-len%d" % (spec.replace(" ", ""), n_power, max_len),
-               partial(_gtc_case, spec, n_power, max_len, budget))
+               partial(_gtc_case, spec, n_power, max_len))
 
 
-def _gtc_case(spec, n_power, max_len, budget):
-    report = gtc_bounded_check(parse_diagram(spec), n_power, max_len, budget)
+def _gtc_case(spec, n_power, max_len):
+    report = gtc_bounded_check(parse_diagram(spec), n_power, max_len)
     assert report.ok, "%s (word %s)" % (report.detail, report.violation)
     return "%d words, %d through the Garside engine" % (
         report.words_checked, report.slow_path_checked
@@ -768,9 +761,16 @@ def suite_e7_kernel(power=1):
     yield "curve-raag-commutator-trivial", partial(_e7_leg, report, "curve_raag_trivial")
 
 
+def _artin_leg(verdict):
+    """A set piece's verdict; an Artin leg kept over budget skips its check."""
+    if isinstance(verdict, BudgetExceeded):
+        raise verdict
+    return verdict
+
+
 def _e7_leg(report, key):
     report = report()
-    assert getattr(report, key), report.detail
+    assert _artin_leg(getattr(report, key)), report.detail
     return json.dumps(report.detail) if key == "artin_nontrivial" else ""
 
 
@@ -782,7 +782,7 @@ def suite_lantern():
 
 
 def _lantern_artin(report):
-    assert report().artin_commute, "lantern twists must commute in the Artin group"
+    assert _artin_leg(report().artin_commute), "lantern twists must commute in the Artin group"
 
 
 def _lantern_raag(report):

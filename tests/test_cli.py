@@ -189,7 +189,6 @@ def test_usage_errors_exit_two(capsys):
                  ("verify", "an-curves", "--config", '{"max_rnk": 3}'),
                  ("verify", "folding-suite", "--config",
                   '{"budget": "x", "f_max_len": 1}'),
-                 ("verify", "tits-classic", "--budget", "3"),
                  ("verify", "tits-classic", "--config", "nonsense")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -500,3 +499,78 @@ def test_missing_diagram_file_is_reported_as_missing(tmp_path, capsys):
     assert (code, err) == (2, "error: no such file 'vertex'\n")
     code, _, err = run(capsys, "nf", "--group", "vertex a b", "--word", "s1")
     assert (code, err) == (2, "error: cannot parse line 'vertex a b'\n")
+
+
+def test_gtc_h1_leg_meets_the_budget_flag(capsys, monkeypatch):
+    # the lone image has 1,200,000 letters: over the default budget, under
+    # the flag's; the h1 certificate walks it, no Garside pair reads it
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    code, out, err = run(capsys, "verify", "gtc-bounded", "--budget", "3000000",
+                         "--config", '{"type": "type A 1", "N": 600000, "max_len": 1}')
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ("[gtc-bounded] PASS    gtc-typeA1-N600000-len1 "
+                                   "-- 2 words, 0 through the Garside engine")
+
+
+def test_budget_flag_is_read_by_every_suite(capsys):
+    code, out, err = run(capsys, "verify", "tits-classic", "--budget", "3", "--json")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert checks and {c["status"] for c in checks} == {"skipped"}
+    assert all(c["detail"].endswith("letter budget 3") for c in checks)
+
+
+@pytest.mark.parametrize("suite, budget, builder, skipped", [
+    ("e7-kernel", "100", "e7_kernel_check", "artin-commutator-nontrivial"),
+    ("lantern", "10", "lantern_check", "artin-twists-commute"),
+])
+def test_set_piece_over_budget_skips_only_its_artin_leg(
+        capsys, monkeypatch, suite, budget, builder, skipped):
+    from coxart import suites
+
+    original = getattr(suites, builder)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(suites, builder, counted)
+    code, out, err = run(capsys, "verify", suite, "--budget", budget, "--json")
+    assert (code, err) == (0, "")
+    statuses = {c["id"]: (c["status"], c["detail"]) for c in json.loads(out)["checks"]}
+    status, detail = statuses.pop(skipped)
+    assert status == "skipped"
+    assert detail.endswith("exceeds the letter budget %s" % budget)
+    assert len(statuses) == 2 and {s for s, _ in statuses.values()} == {"pass"}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("nf", "--group", "type A 2", "--word", "s1", "--budget", "7"), 0),
+    (("nf", "--group", "type Q 2", "--word", "s1", "--budget", "7"), 2),
+    (("nf", "--group", "type A 2", "--word", "s1^9", "--budget", "7"), 2),
+    (("fold", "--diagram", "type A 3"), 0),
+])
+def test_budget_flag_holds_for_one_command(capsys, argv, exit_code):
+    from coxart.garside import RUN_BUDGET
+
+    assert RUN_BUDGET.get() is None
+    assert run(capsys, *argv)[0] == exit_code
+    assert RUN_BUDGET.get() is None
+
+
+def test_budget_flag_overrides_the_callers_budget(capsys):
+    from coxart.garside import RUN_BUDGET
+
+    token = RUN_BUDGET.set(2)
+    try:
+        # without the flag the caller's budget stands, with it the flag's
+        code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^3")
+        assert code == 2 and err.endswith("letter budget 2\n")
+        code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^3",
+                           "--budget", "3")
+        assert (code, err) == (0, "")
+        assert RUN_BUDGET.get() == 2
+    finally:
+        RUN_BUDGET.reset(token)

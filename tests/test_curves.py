@@ -374,10 +374,11 @@ def test_e7_kernel_z_word_normal_form_is_short():
     assert sum(abs(e) for _, e in nf) == 12
 
 
-def test_folding_suite_budget_marks_skipped():
+def test_folding_suite_budget_marks_skipped(monkeypatch):
     from coxart.suites import run_suite
 
-    result = run_suite("folding-suite", {"budget": 5, "f_max_len": 2})
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "5")
+    result = run_suite("folding-suite", {"f_max_len": 2})
     assert result.ok  # skipped checks do not fail the suite
     skipped = [c for c in result.checks if c.status == "skipped"]
     assert skipped and all(c.id.startswith("psi-") for c in skipped)
@@ -386,11 +387,12 @@ def test_folding_suite_budget_marks_skipped():
                for c in skipped)
 
 
-def test_gtc_bounded_budget_marks_skipped():
+def test_gtc_bounded_budget_marks_skipped(monkeypatch):
     from coxart.suites import run_suite
 
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "3")
     result = run_suite("gtc-bounded", {"type": "type A 3", "N": 1,
-                                       "max_len": 4, "budget": 3})
+                                       "max_len": 4})
     assert result.ok
     [check] = result.checks
     assert check.status == "skipped"
@@ -413,8 +415,9 @@ def test_gtc_bounded_budget_is_met_before_the_images_are_built(
         raise AssertionError("an image was expanded")
 
     monkeypatch.setattr(suites, "delta_power", expanded)
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "10")
     result = suites.run_suite("gtc-bounded", {"type": spec, "N": 10 ** 6,
-                                              "max_len": 1, "budget": 10})
+                                              "max_len": 1})
     [check] = result.checks
     assert (check.status, check.detail) == ("skipped", detail)
 

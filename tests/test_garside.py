@@ -176,8 +176,9 @@ def test_delta_conjugation_sends_generators_to_generators():
             )
 
 
-def test_budget_guard():
-    eng = ArtinEngine(build_group(A2), budget=10)
+def test_budget_guard(monkeypatch):
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "10")
+    eng = ArtinEngine(build_group(A2))
     with pytest.raises(BudgetExceeded, match=r"^garside normal form: word of "
                        r"12 letters exceeds the letter budget 10$"):
         eng.normal_form([("s", 6), ("t", 6)])

@@ -69,10 +69,11 @@ def test_h1_rejects_impure(a2):
         h1_image(a2, parse_word("s"))
 
 
-def test_h1_errors_in_order(a2):
+def test_h1_errors_in_order(a2, monkeypatch):
     # the budget is met before any letter is read, unknown letter or not
-    with pytest.raises(BudgetExceeded):
-        h1_image(a2, parse_word("s q t^2 s"), budget=4)
+    with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
+        m.setenv("COXART_LETTER_BUDGET", "4")
+        h1_image(a2, parse_word("s q t^2 s"))
     # an unknown letter is named wherever it stands, also in a non-pure word
     for text in ("s^2 q^2", "s q", "q^-3 s^2"):
         with pytest.raises(DiagramError, match="unknown generator 'q'"):
