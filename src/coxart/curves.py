@@ -34,8 +34,6 @@ from .raag import (
 )
 from .wgroup import build_group
 
-FAMILIES = ("An", "Dn", "E6F", "E8F", "E7FIG")
-
 
 class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundary")):
     """`diagram` is the ambient Artin diagram the subsets live in, `complex`
@@ -354,22 +352,21 @@ def build_e7_figure():
     return _system_from_fixture("E7FIG", 7, _fixture("e7_figure.json"))
 
 
+#: family -> (builder, whether it takes a rank)
+_BUILDERS = {"An": (build_an, True), "Dn": (build_dn, True), "E6F": (build_e6_folded, False),
+             "E8F": (build_e8_folded, False), "E7FIG": (build_e7_figure, False)}
+FAMILIES = tuple(_BUILDERS)
+
+
 def build_system(family, rank=None):
-    if family in ("An", "Dn") and rank is None:
+    if family not in _BUILDERS:
+        raise DiagramError("unknown curve family %r (choose from %s)" % (family, FAMILIES))
+    build, ranked = _BUILDERS[family]
+    if ranked and rank is None:
         raise DiagramError("the %s family needs a rank" % family)
-    if family in ("E6F", "E8F", "E7FIG") and rank is not None:
+    if not ranked and rank is not None:
         raise DiagramError("the %s family takes no rank" % family)
-    if family == "An":
-        return build_an(rank)
-    if family == "Dn":
-        return build_dn(rank)
-    if family == "E6F":
-        return build_e6_folded()
-    if family == "E8F":
-        return build_e8_folded()
-    if family == "E7FIG":
-        return build_e7_figure()
-    raise DiagramError("unknown curve family %r (choose from %s)" % (family, FAMILIES))
+    return build(rank) if ranked else build()
 
 
 # -- reference choices --------------------------------------------------------

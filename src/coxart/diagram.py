@@ -212,20 +212,8 @@ class ComponentType(namedtuple("ComponentType", "family rank order p", defaults=
 FiniteTypeReport = namedtuple("FiniteTypeReport", "is_spherical components")
 
 
-def _classify_rank2(diagram, a, b):
-    m = diagram.m(a, b)
-    a, b = sorted((a, b), key=sort_key)
-    if m == INF:
-        return None
-    if m == 3:
-        return ComponentType("A", 2, (a, b))
-    if m == 4:
-        return ComponentType("B", 2, (a, b))
-    if m == 5:
-        return ComponentType("H", 2, (a, b))
-    if m == 6:
-        return ComponentType("G", 2, (a, b))
-    return ComponentType("I", 2, (a, b), p=m)
+#: the label of a rank-2 component -> its family; any other label is I_2(m)
+_RANK2_FAMILY = {3: "A", 4: "B", 5: "H", 6: "G"}
 
 
 def _chain(diagram, comp, prev, v):
@@ -247,7 +235,11 @@ def _classify_component(diagram, comp):
     if n == 1:
         return ComponentType("A", 1, tuple(comp))
     if n == 2:
-        return _classify_rank2(diagram, *comp)
+        m = diagram.m(*comp)
+        if m == INF:
+            return None
+        family = _RANK2_FAMILY.get(m, "I")
+        return ComponentType(family, 2, tuple(comp), p=m if family == "I" else 0)
 
     edges = diagram.edges(keep)
     if len(edges) != n - 1:  # a cycle never has finite type

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import contextvars
 import os
+from collections import namedtuple
 from operator import itemgetter
 
 from .diagram import DiagramError, require_irreducible_spherical
-from .raag import raag_inverse
 from .wgroup import longest_word
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
@@ -102,26 +102,11 @@ def word_length(word):
 
 # -- normal form -------------------------------------------------------------
 
-class GarsideElement(object):
-    """Canonical form Delta^inf * x_1 ... x_l with a left-greedy tail."""
+class GarsideElement(namedtuple("GarsideElement", "engine inf canon")):
+    """Canonical form Delta^inf * x_1 ... x_l with a left-greedy tail.  Two
+    elements are equal when they share the engine object, inf and canon."""
 
-    __slots__ = ("engine", "inf", "canon")
-
-    def __init__(self, engine, inf, canon):
-        self.engine = engine
-        self.inf = inf
-        self.canon = canon
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GarsideElement)
-            and self.engine is other.engine
-            and self.inf == other.inf
-            and self.canon == other.canon
-        )
-
-    def __hash__(self):
-        return hash((self.inf, self.canon))
+    __slots__ = ()
 
     @property
     def canonical_length(self):
@@ -325,10 +310,10 @@ def delta_word(diagram, subset, power=1):
     T must be a spherical subset; it sits inside any ambient Artin group
     containing those generators (special subgroups embed).
     """
-    lift = [(g, 1) for g in longest_word(diagram, subset)]
+    word = longest_word(diagram, subset)
     if power >= 0:
-        return lift * power
-    return raag_inverse(lift) * (-power)
+        return [(g, 1) for g in word] * power
+    return [(g, -1) for g in reversed(word)] * (-power)
 
 
 def delta_power(diagram, subset, power):

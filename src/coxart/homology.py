@@ -11,7 +11,7 @@ word is read off in closed form."""
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 
 from .diagram import DiagramError, type_diagram
 from .garside import check_budget, word_length
@@ -80,27 +80,23 @@ def h1_image(group, word):
 
 
 def integer_rank(rows):
-    """Rank over Q of integer row vectors (exact Gaussian elimination)."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    """Rank over Q of integer row vectors, by forward elimination over Z:
+    row <- pivot * row - c * top, then the row is divided by its gcd."""
+    mat = [list(row) for row in rows if any(row)]
     rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col]
+            if c:
+                row = [top[col] * a - c * b for a, b in zip(mat[i], top)]
+                g = gcd(*row) or 1
+                mat[i] = [a // g for a in row]
         rank += 1
-        if rank == len(mat):
-            break
     return rank
 
 

@@ -400,6 +400,7 @@ def _avoidance_conditions():
 
 def _an_lemma_checks(system):
     subs = system.subsets()
+    position = {v: i for i, v in enumerate(system.diagram.vertices)}
     for i, t1 in enumerate(subs):
         for t2 in subs[:i]:
             if nested_or_commuting(system.diagram, t1, t2):
@@ -416,8 +417,8 @@ def _an_lemma_checks(system):
                     assert any(system.intersects(c, d) for d in b2), (
                         "curve %s misses all of %s" % (c, subset_name(t2))
                     )
-                i1 = int(b1[0][1:].split(":")[0])
-                i2 = int(b2[0][1:].split(":")[0])
+                # intervals whose starts differ in parity: all four pairs meet
+                i1, i2 = (min(map(position.get, t)) for t in (t1, t2))
                 if i1 % 2 != i2 % 2:
                     for c in b1:
                         for d in b2:
@@ -558,11 +559,6 @@ _FOLD_CASES = (
 )
 
 
-def _restrict_to(vertices, word):
-    keep = set(vertices)
-    return [(g, e) for g, e in word if g in keep]
-
-
 def _psi_relations(fold):
     """Every defining braid relation lands on a Garside equality in each
     component of the fold target.  Relations over the letter budget are
@@ -576,11 +572,11 @@ def _psi_relations(fold):
         lhs = psi_word(fold, _alternating(a, b, m))
         rhs = psi_word(fold, _alternating(b, a, m))
         for comp in comps:
-            wl = _restrict_to(comp, lhs)
-            wr = _restrict_to(comp, rhs)
+            key = frozenset(comp)
+            wl = [(g, e) for g, e in lhs if g in key]
+            wr = [(g, e) for g, e in rhs if g in key]
             if not wl and not wr:
                 continue
-            key = frozenset(comp)
             if key not in engines:
                 engines[key] = ArtinEngine(build_group(fold.target, comp))
             try:
