@@ -64,6 +64,9 @@ def cmd_h1(args):
     vec = h1_image(group, parse_word(args.word))
     labels = reflection_labels(group, [r for r, _ in vec.coeffs])
     entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
+    if len(entries) < len(labels):
+        clash = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise ValueError("two reflections print as %r; rename the generators" % clash)
     text = " ".join("%s:%d" % (k, v) for k, v in sorted(entries.items()))
     _emit(args, {"coefficients": entries}, text or "0")
     return 0

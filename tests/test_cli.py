@@ -574,3 +574,16 @@ def test_budget_flag_overrides_the_callers_budget(capsys):
         assert RUN_BUDGET.get() == 2
     finally:
         RUN_BUDGET.reset(token)
+
+
+def test_h1_refuses_two_reflections_with_one_label(capsys):
+    # s_x s_y s_x and the generator xyx both print as "xyx"; a dict keyed by
+    # label would keep only one of their coefficients
+    group = "vertex x; vertex y; vertex xyx; edge x y 3"
+    code, out, err = run(capsys, "h1", "--group", group, "--word",
+                         "x^2 y^2 xyx^2 x y^2 x^-1", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: two reflections print as 'xyx'; rename the generators\n"
+    # distinct labels print as before
+    code, out, _ = run(capsys, "h1", "--group", group, "--word", "x^2 y^2 xyx^2")
+    assert (code, out) == (0, "x:1 xyx:1 y:1\n")

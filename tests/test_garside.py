@@ -696,3 +696,22 @@ def _garside_digest():
 
 def test_garside_normal_forms_match_pinned_digest():
     assert _garside_digest() == GARSIDE_NF_SHA256
+
+
+def test_garside_elements_compare_by_engine_inf_and_canon():
+    word = parse_word("s t^-1 s^2 t")
+    eng = ArtinEngine(build_group(A2))
+    other = ArtinEngine(build_group(A2))
+    a, b = eng.normal_form(word), eng.normal_form(list(word))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same word from a second engine of the same type is another element
+    c = other.normal_form(word)
+    assert (c.inf, c.canon) == (a.inf, a.canon)
+    assert a != c and c != a
+    assert a != eng.normal_form(parse_word("s t"))
+    assert (a.canonical_length, a.is_trivial()) == (len(a.canon), False)
+    one = eng.normal_form(parse_word("s s^-1"))
+    assert (one.inf, one.canon, one.canonical_length, one.is_trivial()) == (0, (), 0, True)
+    delta = eng.normal_form(parse_word("s t s"))
+    assert (delta.inf, delta.canonical_length, delta.is_trivial()) == (1, 0, False)

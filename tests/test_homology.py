@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import coxart
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
 from coxart.garside import BudgetExceeded, delta_word, parse_word
 from coxart import homology
@@ -214,3 +218,49 @@ def test_audit_reports_its_failures(monkeypatch):
     checks = {c.id: c for c in run_suite("dihedral-audit").checks}
     assert checks["longest-hyperplane-m3"].status == "fail"
     assert checks["longest-hyperplane-m3"].detail == "violations: [[('s1', -2)]]"
+
+
+def _seeded_matrix(rng):
+    """An integer matrix up to 8x8 with negative entries, zero rows and rows
+    planted as integer combinations of earlier rows."""
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * n_cols)
+        elif kind < 0.45 and rows:
+            picks = [(rng.randint(-3, 3), rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+            rows.append([sum(c * row[j] for c, row in picks) for j in range(n_cols)])
+        else:
+            bound = rng.choice((1, 3, 50))
+            rows.append([rng.randint(-bound, bound) for _ in range(n_cols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_integer_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    for _ in range(1200):
+        rows = _seeded_matrix(rng)
+        assert homology.integer_rank(rows) == sympy.Matrix(rows).rank(), rows
+
+
+def test_integer_rank_edge_cases():
+    assert homology.integer_rank([]) == 0
+    assert homology.integer_rank([[0, 0], [0, 0]]) == 0
+    assert homology.integer_rank([[2, 4], [-3, -6], [0, 0]]) == 1
+    assert homology.integer_rank([[0, 5], [7, 0], [7, 5]]) == 2
+
+
+def test_import_loads_no_number_tower():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import coxart, coxart.cli\n"
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n")
+    src = os.path.dirname(os.path.dirname(coxart.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
