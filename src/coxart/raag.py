@@ -212,6 +212,8 @@ def raag_normal_form(complex_, word):
 
     Cancels syllables separated by commuting letters, then emits the
     lexicographically least ordering reachable by commutation moves.
+    Inverting every letter of a set of vertices commutes with it: the
+    normal form of the inverted word is the inverted normal form.
     """
     _check_letters(complex_, word)
     sylls = normalize_syllables(word)

@@ -19,9 +19,10 @@ from coxart.folding import (
     fold_images,
     psi_word,
 )
-from coxart.garside import ArtinEngine
+from coxart.garside import ArtinEngine, word_length
 from coxart.nerve import complex_on_subsets, phi_word, subdivision, subset_name
-from coxart.raag import raag_normal_form
+from coxart.raag import enumerate_reduced_words, raag_normal_form
+from coxart.suites import f_preserves_reduced
 from coxart.wgroup import build_group
 
 
@@ -317,3 +318,70 @@ def test_fold_with_a_large_label_is_not_quadratic():
     assert time.perf_counter() - t0 < 5.0
     assert fold.fiber_size == 4800 and len(fold.target.labels) == 2 * 4799
     assert [r.tag for r in component_report(fold)] == ["A_4800", "A_4800"]
+
+
+# -- the injectivity check of folding-suite, one word per sign orbit ---------
+
+def _fold_and_images(fam, n, p=None):
+    fold = build_folded(type_diagram(fam, n, p))
+    src = subdivision(fold.source)
+    return fold, src, fold_images(fold, src.vertex_subsets)
+
+
+def _count_normal_forms(monkeypatch):
+    from coxart import suites
+
+    calls = []
+
+    def counted(complex_, word):
+        calls.append(word)
+        return raag_normal_form(complex_, word)
+
+    monkeypatch.setattr(suites, "raag_normal_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fam,n,p,words,normal_forms", [
+    ("I", 2, 3, 98, 27),
+    ("B", 3, None, 716, 143),
+])
+def test_f_preserves_reduced_puts_one_word_per_sign_orbit_into_normal_form(
+        monkeypatch, fam, n, p, words, normal_forms):
+    calls = _count_normal_forms(monkeypatch)
+    fold, src, images = _fold_and_images(fam, n, p)
+    assert f_preserves_reduced(fold, src, images, 3) == words
+    assert len(calls) == normal_forms
+
+
+def test_f_preserves_reduced_names_each_planted_fault(monkeypatch):
+    fold, src, images = _fold_and_images("I", 2, 3)
+    assert not src.complex.adjacent("s1", "s2")
+    # s1~1 and s2~1 commute in the target, so s1 and s2 get commuting images
+    commuting = dict(images, s1={"s1~1": frozenset({"s1~1"})},
+                     s2={"s2~1": frozenset({"s2~1"})})
+
+    calls = _count_normal_forms(monkeypatch)
+    shared = dict(images, s2=dict(images["s2"], **images["s1"]))
+    with pytest.raises(AssertionError) as info:
+        f_preserves_reduced(fold, src, shared, 3)
+    assert str(info.value) == "distinct subsets share a fold component: s2 s1"
+    assert not calls  # refused before any normal form
+
+    # at length 2 no image cancels, but F(s1 s2) = F(s2 s1)
+    with pytest.raises(AssertionError) as info:
+        f_preserves_reduced(fold, src, commuting, 2)
+    assert str(info.value) == "F is not injective on the sample"
+
+    # at length 3 F(s1 s2 s1^-1) cancels; the first failing word of the
+    # whole sample, found here word by word, is the one named
+    cx, _ = complex_on_subsets(fold.target, [
+        c for image in commuting.values() for c in image.values()])
+    first = next(
+        w for w in enumerate_reduced_words(src.complex, 3)
+        if word_length(raag_normal_form(cx, f_word(commuting, w)))
+        < sum(abs(e) * len(commuting[v]) for v, e in w))
+    assert first == [("s1", 1), ("s2", 1), ("s1", -1)]
+    with pytest.raises(AssertionError) as info:
+        f_preserves_reduced(fold, src, commuting, 3)
+    assert str(info.value) == (
+        "F does not preserve reduced length on %s" % (first,))

@@ -16,6 +16,7 @@ from coxart.raag import (
     raag_commutator,
     raag_commutes,
     raag_equals,
+    raag_inverse,
     raag_is_trivial,
     raag_normal_form,
     retraction,
@@ -477,6 +478,28 @@ def _normal_forms_digest():
 
 def test_normal_forms_match_pinned_digest():
     assert _normal_forms_digest() == NORMAL_FORMS_SHA256
+
+
+def _inverted(word, vertices):
+    """`word` with every letter of the given vertices inverted."""
+    return [(v, -e if v in vertices else e) for v, e in word]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 5), ("E", 7)])
+def test_normal_form_commutes_with_inverting_vertices(family, rank):
+    # the symmetry the folding suite's injectivity check rests on
+    from coxart.diagram import type_diagram
+    from coxart.nerve import subdivision
+
+    cx = subdivision(type_diagram(family, rank)).complex
+    rng = random.Random("invert:%s%d" % (family, rank))
+    for _ in range(300):
+        word = _random_word(rng, cx.vertices, rng.randint(4, 24))
+        i = rng.randrange(len(word))
+        word = word + _disguised(rng, cx, word) + raag_inverse(word[i:])
+        flipped = set(rng.sample(cx.vertices, rng.randint(1, len(cx.vertices))))
+        assert raag_normal_form(cx, _inverted(word, flipped)) == \
+            _inverted(raag_normal_form(cx, word), flipped), (word, flipped)
 
 
 # -- vertices kept in sort_key order -----------------------------------------
