@@ -9,7 +9,7 @@ import pytest
 
 import coxart
 
-from coxart.diagram import CoxeterDiagram, DiagramError, parse_diagram, type_diagram
+from coxart.diagram import INF, CoxeterDiagram, DiagramError, parse_diagram, type_diagram
 from coxart.folding import (
     _validate_fold,
     build_folded,
@@ -22,7 +22,7 @@ from coxart.folding import (
 from coxart.garside import ArtinEngine, word_length
 from coxart.nerve import complex_on_subsets, phi_word, subdivision, subset_name
 from coxart.raag import enumerate_reduced_words, raag_normal_form
-from coxart.suites import f_preserves_reduced
+from coxart.suites import _tag, f_preserves_reduced, run_suite
 from coxart.wgroup import build_group
 
 
@@ -385,3 +385,55 @@ def test_f_preserves_reduced_names_each_planted_fault(monkeypatch):
         f_preserves_reduced(fold, src, commuting, 3)
     assert str(info.value) == (
         "F does not preserve reduced length on %s" % (first,))
+
+
+# -- the folding suite end to end, and its checks on planted faults -----------
+
+#: sha256 of `run_suite("folding-suite", {"f_max_len": k}).to_json()` (keys
+#: sorted); the default k = 4 is pinned in test_acceptance.SUITE_DIGESTS
+FOLDING_SUITE_DIGESTS = {
+    1: "8aecc53b007f9525b00a18d01dea0828c34164be1a6869dec5ea31dc1ef2c2bd",
+    2: "e32638a067a79a44dbbbb61ba33214b893263b095467d106a475a26e90a28318",
+    3: "ed1580ce3cf131046467a0019cd6d0b4a4fc85af219ac2e7240f9d5b072f1836",
+}
+
+
+@pytest.mark.parametrize("k", sorted(FOLDING_SUITE_DIGESTS))
+def test_folding_suite_json_pinned(k):
+    text = json.dumps(run_suite("folding-suite", {"f_max_len": k}).to_json(),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLDING_SUITE_DIGESTS[k]
+
+
+def _doctored_suite(monkeypatch, case, doctor):
+    """folding-suite at f_max_len 3 on the one fold case `case`, whose fold
+    is passed through `doctor`: {check id: CheckResult}."""
+    from coxart import suites
+
+    monkeypatch.setattr(suites, "_FOLD_CASES", (case,))
+    monkeypatch.setattr(suites, "build_folded", lambda d: doctor(build_folded(d)))
+    return {c.id: c for c in run_suite("folding-suite", {"f_max_len": 3}).checks}
+
+
+@pytest.mark.parametrize("case,edge,relation", [
+    (("I", 2, 3, {"A_2"}), ("s1~1", "s2~2"), "s1s2"),
+    (("B", 3, None, {"D_4", "A_5"}), ("s2~1", "s3~2"), "s2s3"),
+])
+def test_psi_relations_fails_on_a_dropped_target_edge(monkeypatch, case, edge, relation):
+    checks = _doctored_suite(monkeypatch, case, lambda f: _relabelled(f, drop=[edge]))
+    check = checks["psi-relations-%s" % _tag(*case[:3])]
+    assert check.status == "fail"
+    assert check.detail.startswith("relation %s broken" % relation), check.detail
+
+
+def test_f_injective_fails_on_a_non_spherical_image_before_any_normal_form(monkeypatch):
+    def doctor(fold):
+        labels = dict(fold.target.labels)
+        labels[frozenset(("s1~1", "s2~2"))] = INF
+        return fold._replace(target=CoxeterDiagram(fold.target.vertices, labels))
+
+    calls = _count_normal_forms(monkeypatch)
+    check = _doctored_suite(monkeypatch, ("I", 2, 3, {"A_2"}), doctor)["f-injective-I2(3)"]
+    assert check.status == "fail"
+    assert "not spherical" in check.detail, check.detail
+    assert not calls
