@@ -317,9 +317,10 @@ def finite_type(diagram, subset=None):
 
 def require_irreducible_spherical(diagram, subset):
     """Raise DiagramError unless `subset` is irreducible and spherical."""
-    if len(irreducible_components(diagram, subset)) != 1:
+    comps = irreducible_components(diagram, subset)
+    if len(comps) != 1:
         raise DiagramError("subset %s is not irreducible" % sorted(subset, key=sort_key))
-    if not finite_type(diagram, subset).is_spherical:
+    if _classify_component(diagram, comps[0]) is None:
         raise DiagramError("subset %s is not spherical" % sorted(subset, key=sort_key))
 
 

@@ -136,18 +136,10 @@ def component_subsets(fold, subset=None):
 def fold_images(fold, vertex_subsets):
     """F on generators: each source subdivision vertex, given as
     {name: subset}, maps to the irreducible components of its preimage,
-    as {component name: component subset}."""
-    images = {}
-    for name, subset in vertex_subsets.items():
-        comps = component_subsets(fold, subset)
-        for c in comps:
-            if not finite_type(fold.target, c).is_spherical:
-                raise AssertionError(
-                    "component %s of a spherical preimage is not spherical"
-                    % sorted(c)
-                )
-        images[name] = {subset_name(c): c for c in comps}
-    return images
+    as {component name: component subset}.  `complex_on_subsets` refuses
+    a component that is not spherical."""
+    return {name: {subset_name(c): c for c in component_subsets(fold, subset)}
+            for name, subset in vertex_subsets.items()}
 
 
 def f_word(images, raag_word):

@@ -560,34 +560,26 @@ _FOLD_CASES = (
 
 
 def _psi_relations(fold):
-    """Every defining braid relation lands on a Garside equality in each
-    component of the fold target.  Relations over the letter budget are
-    counted, and skip the check if there are any."""
+    """Every defining braid relation lands on a Garside equality in the fold
+    target, read by one engine for all its components.  A relation counts
+    as one check per component its letters touch; any relation over the
+    letter budget skips the check."""
     fold = fold()
+    engine = ArtinEngine(build_group(fold.target))
+    component = {x: i for i, c in enumerate(irreducible_components(fold.target))
+                 for x in c}
     checked = skipped = 0
     first_skip = None
-    comps = irreducible_components(fold.target)
-    engines = {}
     for a, b, m in fold.source.edges():
         lhs = psi_word(fold, _alternating(a, b, m))
-        rhs = psi_word(fold, _alternating(b, a, m))
-        for comp in comps:
-            key = frozenset(comp)
-            wl = [(g, e) for g, e in lhs if g in key]
-            wr = [(g, e) for g, e in rhs if g in key]
-            if not wl and not wr:
-                continue
-            if key not in engines:
-                engines[key] = ArtinEngine(build_group(fold.target, comp))
-            try:
-                assert engines[key].equals(wl, wr), (
-                    "relation %s%s broken in component %s"
-                    % (a, b, sorted(comp))
-                )
-                checked += 1
-            except BudgetExceeded as exc:
-                skipped += 1
-                first_skip = first_skip or str(exc)
+        touched = len({component[g] for g, _ in lhs})
+        try:
+            assert engine.equals(lhs, psi_word(fold, _alternating(b, a, m))), (
+                "relation %s%s broken" % (a, b))
+            checked += touched
+        except BudgetExceeded as exc:
+            skipped += touched
+            first_skip = first_skip or str(exc)
     if skipped:
         raise BudgetExceeded(
             "%d relation checks skipped over budget: %s" % (skipped, first_skip)

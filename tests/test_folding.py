@@ -437,3 +437,35 @@ def test_f_injective_fails_on_a_non_spherical_image_before_any_normal_form(monke
     assert check.status == "fail"
     assert "not spherical" in check.detail, check.detail
     assert not calls
+
+
+def test_folding_suite_builds_one_engine_per_fold_case(monkeypatch):
+    from coxart import suites
+
+    built = []
+
+    class Counted(ArtinEngine):
+        def __init__(self, wgroup):
+            built.append(set(wgroup.gens))
+            super().__init__(wgroup)
+
+    monkeypatch.setattr(suites, "ArtinEngine", Counted)
+    assert run_suite("folding-suite", {"f_max_len": 1}).ok
+    # one engine on the whole fold target, not one per component
+    assert built == [set(build_folded(type_diagram(fam, n, p)).target.vertices)
+                     for fam, n, p, _ in suites._FOLD_CASES]
+    assert len(built) == 8
+
+
+@pytest.mark.parametrize("budget,expected", [
+    # the budget meets each side of a relation's whole psi image, 6 to 30
+    # letters; the count is of the components the relations touch
+    (5, "skipped 2|skipped 2|skipped 2|skipped 2|skipped 8|skipped 4|skipped 12|skipped 6"),
+    (12, "pass 2|pass 2|skipped 2|skipped 2|skipped 8|skipped 2|skipped 12|skipped 2"),
+    (20, "pass 2|pass 2|pass 2|skipped 2|skipped 4|pass 4|skipped 4|pass 6"),
+])
+def test_psi_relations_under_a_letter_budget(monkeypatch, budget, expected):
+    monkeypatch.setenv("COXART_LETTER_BUDGET", str(budget))
+    checks = run_suite("folding-suite", {"f_max_len": 1}).checks
+    assert "|".join("%s %s" % (c.status, c.detail.split()[0]) for c in checks
+                    if c.id.startswith("psi-relations-")) == expected
