@@ -6,6 +6,7 @@ Labels are integers >= 3 or INF.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 INF = float("inf")
@@ -389,11 +390,17 @@ def type_diagram(family, n, p=None, prefix="s"):
     return CoxeterDiagram(names, labels)
 
 
+def read_int(token):
+    """The integer a token spells as an optional sign and ASCII digits, else
+    None; int() alone also takes underscores and other scripts' digits."""
+    return int(token) if re.fullmatch("[+-]?[0-9]+", token) else None
+
+
 def _int_token(token, what, line):
-    try:
-        return int(token)
-    except ValueError:
-        raise DiagramError("bad %s %r in line %r" % (what, token, line)) from None
+    value = read_int(token)
+    if value is None:
+        raise DiagramError("bad %s %r in line %r" % (what, token, line))
+    return value
 
 
 def parse_diagram(text):

@@ -27,7 +27,7 @@ import os
 from collections import namedtuple
 from operator import itemgetter
 
-from .diagram import DiagramError, require_irreducible_spherical
+from .diagram import DiagramError, read_int, require_irreducible_spherical
 from .wgroup import longest_word
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
@@ -79,10 +79,9 @@ def parse_word(text):
     for token in text.split():
         if "^" in token:
             gen, raw = token.split("^", 1)
-            try:
-                exp = int(raw)
-            except ValueError:
-                raise ValueError("bad exponent in token %r" % token) from None
+            exp = read_int(raw)
+            if exp is None:
+                raise ValueError("bad exponent in token %r" % token)
         else:
             gen, exp = token, 1
         if not gen:

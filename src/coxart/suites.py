@@ -745,6 +745,9 @@ def suite_gtc_bounded(type=None, N=None, max_len=None):
         if not finite_type(diagram).is_spherical:
             raise ValueError("gtc-bounded needs a spherical diagram, got %s"
                              % json.dumps(type))
+        if not diagram.vertices:
+            raise ValueError("gtc-bounded needs a diagram with generators, got %s"
+                             % json.dumps(type))
         if len(diagram.vertices) > DEFAULT_MAX_RANK:
             raise ValueError("gtc-bounded needs at most %d generators, got %d"
                              % (DEFAULT_MAX_RANK, len(diagram.vertices)))

@@ -182,6 +182,8 @@ def test_usage_errors_exit_two(capsys):
                   'edge b c 3; edge a c 3", "max_len": 2}'),
                  ("verify", "gtc-bounded", "--config",
                   '{"type": "type A 13", "max_len": 1}'),
+                 ("verify", "gtc-bounded", "--config", '{"type": ""}'),
+                 ("verify", "gtc-bounded", "--config", '{"type": "# none"}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [3]}'),
                  ("verify", "dn-curves", "--config", '{"ranks": []}'),
                  ("verify", "dn-curves", "--config", '{"ranks": [4, 5, 4]}'),
@@ -282,7 +284,7 @@ def test_letter_budget_variable_is_honoured(capsys, monkeypatch):
     assert code == 2 and "letter budget 3" in err
 
 
-@pytest.mark.parametrize("word", ["s1^", "s1^x", "s2 s1^-"])
+@pytest.mark.parametrize("word", ["s1^", "s1^x", "s2 s1^-", "s1^1_0", "s1^\u0663"])
 def test_bad_exponent_names_the_token(capsys, word):
     code, out, err = run(capsys, "nf", "--group", "type A 2", "--word", word)
     assert code == 2 and out == ""
@@ -294,6 +296,9 @@ def test_bad_exponent_names_the_token(capsys, word):
     ("type E 6 2", "only type I takes a dihedral label, got 2 for type E"),
     ("type A two", "bad rank 'two' in line 'type A two'"),
     ("type I 2 x", "bad dihedral label 'x' in line 'type I 2 x'"),
+    ("type A 1_2", "bad rank '1_2' in line 'type A 1_2'"),
+    ("type I 2 \u0665", "bad dihedral label '\u0665' in line 'type I 2 \u0665'"),
+    ("vertex a; vertex b; edge a b 1_0", "bad label '1_0' in line 'edge a b 1_0'"),
     ("vertex s; vertex t; edge s t x", "bad label 'x' in line 'edge s t x'"),
     ("vertex s; vertex t; edge s t 2.5", "bad label '2.5' in line 'edge s t 2.5'"),
     ("vertex s; vertex t; edge s t 3; edge s t 4",
