@@ -22,7 +22,7 @@ from coxart.folding import (
 from coxart.garside import ArtinEngine, word_length
 from coxart.nerve import complex_on_subsets, phi_word, subdivision, subset_name
 from coxart.raag import enumerate_reduced_words, raag_normal_form
-from coxart.suites import _tag, f_preserves_reduced, run_suite
+from coxart.suites import _tag, f_preserves_reduced, raaginj_mechanics, run_suite
 from coxart.wgroup import build_group
 
 
@@ -385,6 +385,18 @@ def test_f_preserves_reduced_names_each_planted_fault(monkeypatch):
         f_preserves_reduced(fold, src, commuting, 3)
     assert str(info.value) == (
         "F does not preserve reduced length on %s" % (first,))
+
+
+def test_raaginj_mechanics_names_a_component_with_no_partner():
+    fold, src, images = _fold_and_images("I", 2, 3)
+    raaginj_mechanics(fold, src, images)
+    assert not src.complex.adjacent("s1", "s2")
+    # s1 keeps only s1~1, which commutes with s2~1, so s2~1 has no partner
+    doctored = dict(images, s1={"s1~1": images["s1"]["s1~1"]})
+    with pytest.raises(AssertionError) as info:
+        raaginj_mechanics(fold, src, doctored)
+    assert str(info.value) == (
+        "component ['s2~1'] of s2 has no non-commuting partner in s1")
 
 
 # -- the folding suite end to end, and its checks on planted faults -----------
