@@ -94,10 +94,11 @@ class SubdividedNerve(namedtuple("SubdividedNerve", "diagram complex vertex_subs
 
 def nested_or_commuting(diagram, a, b):
     """z_a and z_b commute: one subset contains the other, or they are
-    disjoint with every cross label equal to 2."""
+    disjoint with every cross label equal to 2, that is, no vertex of a has
+    a neighbour in b."""
     if a <= b or b <= a:
         return True
-    return not (a & b) and all(diagram.m(x, y) == 2 for x in a for y in b)
+    return a.isdisjoint(b) and not any(diagram.neighbors(x, b) for x in a)
 
 
 def _subset_complex(diagram, named):

@@ -610,27 +610,31 @@ def f_preserves_reduced(fold, src, images, max_len=4):
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
     tgt_complex, _ = complex_on_subsets(fold.target, image_subsets)
+    size = {name: len(image) for name, image in images.items()}
     seen_img = set()
     count = representatives = mapped = 0
     for word in enumerate_reduced_words(src.complex, max_len):
         count += 1
-        positive = {}
+        met = set()  # the vertices whose first syllable is positive
         for v, e in word:
-            positive.setdefault(v, e > 0)
-        if not all(positive.values()):
-            continue
-        representatives += 1
-        nf = raag_normal_form(tgt_complex, f_word(images, word))
-        expected_len = sum(abs(e) * len(images[v]) for v, e in word)
-        assert word_length(nf) == expected_len, (
-            "F does not preserve reduced length on %s" % (word,)
-        )
-        mapped += 1 << len(positive)
-        # No letter cancelled, so the letters of each component keep their
-        # order, and the first comes from its owner's first syllable, which
-        # is positive.  So the 2^k words of the orbit have distinct images,
-        # and two orbits share an image only if their representatives do.
-        seen_img.add(tuple(nf))
+            if v not in met:
+                if e < 0:
+                    break
+                met.add(v)
+        else:
+            representatives += 1
+            nf = raag_normal_form(tgt_complex, f_word(images, word))
+            expected_len = sum(abs(e) * size[v] for v, e in word)
+            assert word_length(nf) == expected_len, (
+                "F does not preserve reduced length on %s" % (word,)
+            )
+            mapped += 1 << len(met)
+            # No letter cancelled, so the letters of each component keep
+            # their order, and the first comes from its owner's first
+            # syllable, which is positive.  So the 2^k words of the orbit
+            # have distinct images, and two orbits share an image only if
+            # their representatives do.
+            seen_img.add(tuple(nf))
     assert mapped == count, "sign orbits cover %d of %d words" % (mapped, count)
     assert len(seen_img) == representatives, "F is not injective on the sample"
     return count

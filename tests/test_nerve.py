@@ -6,6 +6,7 @@ from coxart.homology import independence_check
 from coxart.nerve import (
     complex_on_subsets,
     nerve,
+    nested_or_commuting,
     phi_word,
     spherical_subsets,
     subdivision,
@@ -148,6 +149,28 @@ def test_nested_subset_generators_commute_in_subdivision():
     assert sub.complex.adjacent("s1", "s3")
     # but not otherwise
     assert not sub.complex.adjacent("s1+s2", "s2+s3")
+
+
+@pytest.mark.parametrize("diagram", [
+    type_diagram("E", 8), type_diagram("H", 4), type_diagram("F", 4),
+    type_diagram("D", 6), type_diagram("B", 4), type_diagram("I", 2, 7),
+    # the (4,5,inf) triangle and the affine A~3, a 4-cycle of label 3
+    parse_diagram("vertex a; vertex b; vertex c; edge a b 4; edge b c 5; edge a c inf"),
+    parse_diagram("vertex a; vertex b; vertex c; vertex d; "
+                  "edge a b 3; edge b c 3; edge c d 3; edge d a 3"),
+], ids=["E8", "H4", "F4", "D6", "B4", "I2(7)", "triangle-4-5-inf", "A~3"])
+def test_nested_or_commuting_matches_the_label_table(diagram):
+    # the rule as the Davis-Huang subdivision states it, read label by label
+    def by_labels(a, b):
+        return a <= b or b <= a or (not (a & b) and all(
+            diagram.m(x, y) == 2 for x in a for y in b))
+
+    subsets = list(subdivision(diagram).vertex_subsets.values())
+    verdicts = {(a, b): nested_or_commuting(diagram, a, b)
+                for a in subsets for b in subsets}
+    assert verdicts == {pair: by_labels(*pair) for pair in verdicts}
+    # some disjoint pair is joined by a label, so the cross labels decide it
+    assert not all(v for (a, b), v in verdicts.items() if a.isdisjoint(b))
 
 
 def test_subdivision_e7_counts():
