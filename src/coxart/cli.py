@@ -13,9 +13,10 @@ import os
 import sys
 
 from .curves import FAMILIES, build_system
-from .diagram import DiagramError, name_subset, parse_diagram
+from .diagram import DiagramError, finite_type, name_subset, parse_diagram, read_int
 from .folding import build_folded
-from .garside import RUN_BUDGET, ArtinEngine, BudgetExceeded, letter_budget, parse_word
+from .garside import (DEFAULT_LETTER_BUDGET, RUN_BUDGET, ArtinEngine, BudgetExceeded,
+                      check_budget, letter_budget, parse_word)
 from .homology import h1_image, reflection_labels
 from .nerve import DEFAULT_MAX_RANK, nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
@@ -38,13 +39,25 @@ def _load_diagram(spec):
         raise
 
 
+def _load_group(spec):
+    """The Coxeter group of a diagram argument.  A group of more roots,
+    2|Phi+|, than both the letter budget and the default budget is refused
+    before it is built, so a budget below the default still bounds words
+    only."""
+    diagram = _load_diagram(spec)
+    roots = 2 * sum(c.reflection_count for c in finite_type(diagram).components)
+    if roots > DEFAULT_LETTER_BUDGET:
+        check_budget("coxeter group", roots, "group of %d roots")
+    return build_group(diagram)
+
+
 def _emit(args, doc, text):
     out = json.dumps(doc, indent=2, sort_keys=True) if args.json else text
     print(out)
 
 
 def cmd_nf(args):
-    eng = ArtinEngine(build_group(_load_diagram(args.group)))
+    eng = ArtinEngine(_load_group(args.group))
     nf = eng.normal_form(parse_word(args.word))
     canon = ["".join(eng.w.reduced_word(u)) for u in nf.canon]
     _emit(args, {"inf": nf.inf, "canon": canon},
@@ -53,14 +66,14 @@ def cmd_nf(args):
 
 
 def cmd_commute(args):
-    eng = ArtinEngine(build_group(_load_diagram(args.group)))
+    eng = ArtinEngine(_load_group(args.group))
     result = eng.commutes(parse_word(args.w1), parse_word(args.w2))
     _emit(args, {"commute": result}, "commute" if result else "do not commute")
     return 0
 
 
 def cmd_h1(args):
-    group = build_group(_load_diagram(args.group))
+    group = _load_group(args.group)
     vec = h1_image(group, parse_word(args.word))
     labels = reflection_labels(group, [r for r, _ in vec.coeffs])
     entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
@@ -157,12 +170,18 @@ def cmd_export(args):
     return 0
 
 
+def _integer(text):
+    """An integer flag, read as diagram.read_int reads a token, else a usage
+    error naming the flag."""
+    value = read_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError("must be an integer, got %r" % text)
+    return value
+
+
 def _budget(text):
     """The --budget flag: an integer >= 1, else a usage error naming it."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
+    value = read_int(text)
     if value is None or value < 1:
         raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
     return value
@@ -209,7 +228,7 @@ def build_parser():
 
     p = sub.add_parser("curves", help="emit a curve system")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=_integer, default=None)
     p.add_argument("--out", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_curves)
 
@@ -232,7 +251,7 @@ def build_parser():
     p.add_argument("--what", choices=("nerve", "subdivision"), required=True)
     p.add_argument("--diagram", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
+    p.add_argument("--max-rank", type=_integer, default=DEFAULT_MAX_RANK)
     p.set_defaults(func=cmd_export)
     return parser
 

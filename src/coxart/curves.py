@@ -16,7 +16,7 @@ from importlib import resources
 
 from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_name,
                       type_diagram)
-from .garside import ArtinEngine, BudgetExceeded, word_length
+from .garside import ArtinEngine, BudgetExceeded, check_budget, word_length
 from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
     ChoiceMap,
@@ -129,6 +129,13 @@ def audit_system(system):
     return defects
 
 
+def _check_pairs(curves):
+    """Meet the letter budget with the curve pairs of a system before it is
+    built: `_system` asks each pair once, and the subsets of a ranked
+    family hold memory cubic in the rank."""
+    check_budget("curve system", curves * (curves - 1) // 2, "system of %d curve pairs")
+
+
 def _system(family, rank, diagram, curves, meets, boundary):
     """The CurveSystem on `curves` whose complex joins each pair that
     `meets(a, b)` (asked once per pair, a before b) calls disjoint."""
@@ -155,6 +162,13 @@ def _t_single(i, j):
     return i == j or (j - i + 1) % 2 == 0
 
 
+def _an_curve_count(n):
+    """Curves of the A_n system: one per interval, and a second for each
+    interval of odd length >= 3; k = (n-1)//2 odd lengths run from 3 to n."""
+    k = (n - 1) // 2
+    return n * (n + 1) // 2 + k * (n - 1 - k)
+
+
 def _an_pair_intersects(c1, c2):
     """c = (i, j, primed); rule per the interval lemmas.  Equal intervals
     nest, so the curves of one multicurve never meet."""
@@ -172,6 +186,7 @@ def build_an(n):
     """Boundary curves of the interval subsurfaces for the A_n system."""
     if n < 2:
         raise DiagramError("the A family needs rank >= 2")
+    _check_pairs(_an_curve_count(n))
     diagram = type_diagram("A", n, prefix="t")
     gens = diagram.vertices
 
@@ -260,6 +275,9 @@ def build_dn(n):
     """The s/t/r curve families for the D_n system."""
     if n < 4:
         raise DiagramError("the D family needs rank >= 4")
+    # s0; s_m for m = 1..n-1, primed too when m is odd; the t-intervals of
+    # A_(n-2); r_m and r_m' for m = 2..n-1
+    _check_pairs(1 + (n - 1) + n // 2 + _an_curve_count(n - 2) + 2 * (n - 2))
     diagram = _dn_diagram(n)
     t = lambda i: "t%d" % i
 

@@ -49,22 +49,19 @@ def letter_budget():
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_LETTER_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
+    value = read_int(raw)
+    if value is None or value < 1:
         raise ValueError("%s must be an integer >= 1, got %r" % (_BUDGET_ENV, raw))
     return value
 
 
-def check_budget(layer, letters):
+def check_budget(layer, letters, what="word of %d letters"):
     """Raise BudgetExceeded before `layer` reads a word of more letters than
-    the letter budget."""
+    the letter budget; `what` names the count when it is not of letters."""
     budget = letter_budget()
     if letters > budget:
-        raise BudgetExceeded("%s: word of %d letters exceeds the letter budget %d"
-                             % (layer, letters, budget))
+        raise BudgetExceeded("%s: %s exceeds the letter budget %d"
+                             % (layer, what % letters, budget))
 
 
 # -- Artin words -------------------------------------------------------------

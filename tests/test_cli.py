@@ -246,7 +246,7 @@ def test_verify_has_no_seed_option(capsys):
     ("commute", "--group", "type A 2", "--w1", "s1", "--w2", "s2"),
     ("h1", "--group", "type A 2", "--word", "s1^2"),
 ])
-@pytest.mark.parametrize("budget", ["-1", "0", "x"])
+@pytest.mark.parametrize("budget", ["-1", "0", "x", "1_0", "\u0661\u0660"])
 def test_budget_below_one_is_a_usage_error_naming_the_flag(capsys, argv, budget):
     with pytest.raises(SystemExit) as exc:
         main(list(argv) + ["--budget", budget])
@@ -266,7 +266,7 @@ def test_budget_of_one_is_accepted(capsys):
     ("nf", "--group", "type A 2", "--word", ""),
     ("verify", "tits-classic"),
 ])
-@pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5"])
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5", "1_0", "\u0661\u0660"])
 def test_bad_letter_budget_variable_is_a_usage_error(capsys, monkeypatch,
                                                       argv, value):
     monkeypatch.setenv("COXART_LETTER_BUDGET", value)
@@ -282,6 +282,79 @@ def test_letter_budget_variable_is_honoured(capsys, monkeypatch):
     assert code == 0 and err == ""
     code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^4")
     assert code == 2 and "letter budget 3" in err
+
+
+def test_a_signed_budget_reads_as_its_digits(capsys, monkeypatch):
+    # "+10" is an optional sign and ASCII digits, so it reads as 10
+    argv = ("nf", "--group", "type A 2", "--word", "s1^12")
+    message = ("resource budget exceeded: garside normal form: word of 12 "
+               "letters exceeds the letter budget 10\n")
+    assert run(capsys, *argv, "--budget", "+10") == (2, "", message)
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "+10")
+    assert run(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("curves", "--family", "An", "--rank"), "--rank"),
+    (("export", "--what", "nerve", "--diagram", "type A 3", "--max-rank"), "--max-rank"),
+])
+@pytest.mark.parametrize("value", ["1_2", "\u0663", "3.0", "x"])
+def test_integer_flags_read_a_sign_and_ascii_digits_only(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + [value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument %s: must be an integer, got %r" % (flag, value) in out.err
+    code, text, _ = run(capsys, *argv, "+3")
+    assert code == 0 and text
+
+
+def test_curve_system_meets_the_budget_before_it_is_built(capsys, monkeypatch):
+    import tracemalloc
+
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    # A_22 has 363 curves, 65,703 pairs
+    code, out, _ = run(capsys, "curves", "--family", "An", "--rank", "22")
+    assert code == 0 and len(json.loads(out)["curves"]) == 363
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "curves", "--family", "An", "--rank", "400")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("resource budget exceeded: curve system: system of 7199940000 "
+                   "curve pairs exceeds the letter budget 1000000\n")
+    assert peak < 100_000, "refusing the system peaked at %d bytes" % peak
+    # D_44, the first D rank over the default budget: 1473 curves
+    code, _, err = run(capsys, "curves", "--family", "Dn", "--rank", "44")
+    assert err == ("resource budget exceeded: curve system: system of 1084128 "
+                   "curve pairs exceeds the letter budget 1000000\n")
+
+
+@pytest.mark.parametrize("cmd", [
+    ("nf", "--word", "s1"),
+    ("commute", "--w1", "s1", "--w2", "s2"),
+    ("h1", "--word", "s1^2"),
+])
+def test_group_commands_meet_the_budget_before_building_the_group(
+        capsys, monkeypatch, cmd):
+    from coxart import cli
+
+    def built(diagram):
+        raise ValueError("built")
+
+    monkeypatch.setattr(cli, "build_group", built)
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    argv = (cmd[0], "--group", "type I 2 1000000") + cmd[1:]
+    assert run(capsys, *argv) == (2, "", (
+        "resource budget exceeded: coxeter group: group of 2000000 roots "
+        "exceeds the letter budget 1000000\n"))
+    # a larger budget admits the group; a smaller one bounds words only
+    assert run(capsys, *argv, "--budget", "2000000") == (2, "", "error: built\n")
+    argv = (cmd[0], "--group", "type I 2 500000") + cmd[1:]
+    assert run(capsys, *argv, "--budget", "1") == (2, "", "error: built\n")
 
 
 @pytest.mark.parametrize("word", ["s1^", "s1^x", "s2 s1^-", "s1^1_0", "s1^\u0663"])

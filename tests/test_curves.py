@@ -92,6 +92,27 @@ def test_an_same_parity_mixed_pairs_disjoint():
             assert system.intersects(a, b)
 
 
+@pytest.mark.parametrize("build, ranks", [(build_an, range(2, 13)),
+                                          (build_dn, range(4, 13))])
+def test_curve_budget_meets_the_exact_pair_count(build, ranks):
+    from coxart.garside import RUN_BUDGET, BudgetExceeded
+
+    for n in ranks:
+        curves = len(build(n).curves)
+        pairs = curves * (curves - 1) // 2
+        token = RUN_BUDGET.set(pairs)
+        try:
+            assert len(build(n).curves) == curves
+            RUN_BUDGET.set(pairs - 1)
+            with pytest.raises(BudgetExceeded) as info:
+                build(n)
+        finally:
+            RUN_BUDGET.reset(token)
+        assert str(info.value) == (
+            "curve system: system of %d curve pairs exceeds the letter budget %d"
+            % (pairs, pairs - 1))
+
+
 def test_dn_r_curves_all_cross():
     system = build_dn(6)
     for i in range(2, 6):
