@@ -40,10 +40,9 @@ def _load_diagram(spec):
 
 
 def _load_group(spec):
-    """The Coxeter group of a diagram argument.  A group of more roots,
-    2|Phi+|, than both the letter budget and the default budget is refused
-    before it is built, so a budget below the default still bounds words
-    only."""
+    """The Coxeter group of a diagram argument.  A group of more roots
+    (2|Phi+|) than the letter budget is refused before it is built, once it
+    is past the default budget too: a smaller budget bounds words only."""
     diagram = _load_diagram(spec)
     roots = 2 * sum(c.reflection_count for c in finite_type(diagram).components)
     if roots > DEFAULT_LETTER_BUDGET:

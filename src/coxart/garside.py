@@ -55,13 +55,13 @@ def letter_budget():
     return value
 
 
-def check_budget(layer, letters, what="word of %d letters"):
+def check_budget(layer, count, what="word of %d letters"):
     """Raise BudgetExceeded before `layer` reads a word of more letters than
     the letter budget; `what` names the count when it is not of letters."""
     budget = letter_budget()
-    if letters > budget:
+    if count > budget:
         raise BudgetExceeded("%s: %s exceeds the letter budget %d"
-                             % (layer, what % letters, budget))
+                             % (layer, what % count, budget))
 
 
 # -- Artin words -------------------------------------------------------------
