@@ -14,8 +14,8 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_name,
-                      type_diagram)
+from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_key,
+                      subset_name, type_diagram)
 from .garside import ArtinEngine, BudgetExceeded, check_budget, word_length
 from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
@@ -60,7 +60,7 @@ class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundar
         return c1 != c2 and c1 in cx and c2 in cx and not cx.adjacent(c1, c2)
 
     def subsets(self):
-        return sorted(self.boundary, key=lambda s: (len(s), sorted(map(sort_key, s))))
+        return sorted(self.boundary, key=subset_key)
 
     def to_json(self):
         return {

@@ -38,6 +38,12 @@ def sort_key(name):
     return (len(name), name)
 
 
+def subset_key(subset):
+    """Deterministic subset ordering: smaller sets first, then by their
+    sorted vertices."""
+    return (len(subset), sorted(map(sort_key, subset)))
+
+
 def subset_name(subset):
     """Canonical printable name of a generator subset."""
     return "+".join(sorted(subset, key=sort_key))

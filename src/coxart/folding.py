@@ -111,13 +111,12 @@ def _validate_fold(fold):
                 continue
             # the induced graph on the two fibers must be exactly
             # N/(m-1) copies of Gamma(m), i.e. 2N/(m-1) paths of type A_(m-1)
-            sub = tgt.induced(fibers[a] | fibers[b])
-            comps = irreducible_components(sub)
-            types = (finite_type(sub, c) for c in comps)
-            if len(comps) != 2 * fold.fiber_size // (m - 1) or not all(
-                    t.is_spherical and t.components[0][:2] == ("A", m - 1) for t in types):
+            paths = 2 * fold.fiber_size // (m - 1)
+            report = finite_type(tgt.induced(fibers[a] | fibers[b]))
+            if not report.is_spherical or [
+                    ct[:2] for ct in report.components] != [("A", m - 1)] * paths:
                 raise DiagramError("fold: fibers of %s, %s are not %d paths of type "
-                                   "A_%d" % (a, b, 2 * fold.fiber_size // (m - 1), m - 1))
+                                   "A_%d" % (a, b, paths, m - 1))
 
 
 def psi_word(fold, word):
@@ -161,16 +160,15 @@ def component_report(fold):
     if not src_report.is_spherical or len(src_report.components) != 1:
         raise DiagramError("component report needs an irreducible spherical source")
     h_src = src_report.components[0].coxeter_number
+    report = finite_type(fold.target)
+    if not report.is_spherical:
+        raise AssertionError("fold produced a non-spherical component")
     out = []
-    for comp in irreducible_components(fold.target):
-        rep = finite_type(fold.target, comp)
-        if not rep.is_spherical:
-            raise AssertionError("fold produced a non-spherical component")
-        ct = rep.components[0]
+    for ct in report.components:
         if ct.coxeter_number != h_src:
             raise AssertionError(
                 "component %s has Coxeter number %d, source has %d"
                 % (ct.tag, ct.coxeter_number, h_src)
             )
-        out.append(ComponentReport(comp, ct.tag, ct.coxeter_number))
+        out.append(ComponentReport(frozenset(ct.order), ct.tag, ct.coxeter_number))
     return out

@@ -8,9 +8,9 @@ from collections import namedtuple
 from .diagram import (
     DiagramError,
     finite_type,
-    irreducible_components,
     require_irreducible_spherical,
     sort_key,
+    subset_key,
     subset_name,
 )
 from .garside import check_budget, delta_power
@@ -20,35 +20,29 @@ DEFAULT_MAX_RANK = 12
 
 
 def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
-    """All nonempty spherical subsets, found by an upward lattice walk.
+    """Every nonempty spherical subset, in `subset_key` order, mapped to
+    whether it is irreducible.
 
-    Sphericality is inherited downward, so supersets of a non-spherical
-    set are pruned without testing.  A set grows only from itself minus its
-    last vertex, so each is met once.
+    One walk on an explicit stack (a set may outgrow Python's recursion
+    limit) grows each spherical set by the vertices after its last one and
+    classifies each candidate once; a non-spherical set has no spherical
+    superset, so it is not grown.
     """
     if len(diagram.vertices) > max_rank:
-        raise DiagramError(
-            "diagram has %d vertices; raise max_rank to walk its subset lattice"
-            % len(diagram.vertices)
-        )
+        raise DiagramError("diagram has %d vertices; raise max_rank to walk its "
+                           "subset lattice" % len(diagram.vertices))
     verts = sorted(diagram.vertices, key=sort_key)
-    found = {frozenset((v,)) for v in verts}
-    out = sorted(found, key=lambda s: sorted(map(sort_key, s)))
-    level = list(out)
-    while level:
-        nxt = set()
-        for s in level:
-            top = max(verts.index(v) for v in s)
-            for v in verts[top + 1:]:
-                cand = s | {v}
-                # all maximal proper subsets must already be spherical
-                if all(cand - {u} in found for u in cand):
-                    if finite_type(diagram, cand).is_spherical:
-                        nxt.add(cand)
-        level = sorted(nxt, key=lambda s: sorted(map(sort_key, s)))
-        found |= nxt
-        out.extend(level)
-    return out
+    found = {}
+    stack = [(frozenset(), 0)]
+    while stack:
+        base, start = stack.pop()
+        for i in range(start, len(verts)):
+            cand = base | {verts[i]}
+            report = finite_type(diagram, cand)
+            if report.is_spherical:
+                found[cand] = len(report.components) == 1
+                stack.append((cand, i + 1))
+    return {s: found[s] for s in sorted(found, key=subset_key)}
 
 
 class Nerve(namedtuple("Nerve", "diagram simplices")):
@@ -61,18 +55,14 @@ class Nerve(namedtuple("Nerve", "diagram simplices")):
         return {
             "vertices": sorted((v for s in self.simplices if len(s) == 1 for v in s),
                                key=sort_key),
-            "simplices": [
-                sorted(s, key=sort_key)
-                for s in sorted(self.simplices,
-                                key=lambda s: (len(s), sorted(map(sort_key, s))))
-            ],
+            "simplices": [sorted(s, key=sort_key)
+                          for s in sorted(self.simplices, key=subset_key)],
         }
 
 
 def nerve(diagram, max_rank=DEFAULT_MAX_RANK):
     """The nerve: T spans a simplex iff T is spherical."""
-    subs = spherical_subsets(diagram, max_rank)
-    return Nerve(diagram, tuple(subs))
+    return Nerve(diagram, tuple(spherical_subsets(diagram, max_rank)))
 
 
 class SubdividedNerve(namedtuple("SubdividedNerve", "diagram complex vertex_subsets")):
@@ -115,9 +105,8 @@ def _subset_complex(diagram, named):
 
 def subdivision(diagram, max_rank=DEFAULT_MAX_RANK):
     """The partial barycentric subdivision of the nerve."""
-    subs = spherical_subsets(diagram, max_rank)
-    irr = [s for s in subs if len(irreducible_components(diagram, s)) == 1]
-    names = {subset_name(s): s for s in irr}
+    names = {subset_name(s): s
+             for s, irreducible in spherical_subsets(diagram, max_rank).items() if irreducible}
     return SubdividedNerve(diagram, _subset_complex(diagram, names), names)
 
 

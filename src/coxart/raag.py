@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .diagram import FrozenRecord, check_names, sort_key, subset_name
+from .diagram import FrozenRecord, check_names, sort_key, subset_key, subset_name
 
 
 class RaagError(ValueError):
@@ -358,7 +358,7 @@ class WordSystem(object):
         self.words = clean
 
     def simplices(self):
-        return sorted(self.words, key=lambda s: (len(s), sorted(map(sort_key, s))))
+        return sorted(self.words, key=subset_key)
 
     def commute(self, s1, s2):
         """w_s1 and w_s2 commute iff s1 * s2 is a simplex."""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -354,3 +355,57 @@ def _pinned_outputs(capsys, source):
 @pytest.mark.parametrize("name", list(PINNED_DIAGRAMS))
 def test_nerve_and_subdivision_outputs_are_pinned(capsys, name):
     assert _pinned_outputs(capsys, PINNED_DIAGRAMS[name]) == list(NERVE_DIGESTS[name])
+
+
+# -- an oracle for the walk that shares no code with finite_type --------------
+
+def _standard_diagrams(rank, labels):
+    """Hand-written edge lists (i, j, label) on 0..rank-1 of the irreducible
+    finite types of this rank; I_2(m) for each finite label m in `labels`."""
+    path = [(i, i + 1, 3) for i in range(rank - 1)]
+    out = [path]  # A_n
+    if rank >= 2:
+        out.append(path[:-1] + [(rank - 2, rank - 1, 4)])  # B_n
+    if rank >= 4:
+        out.append(path[:-1] + [(rank - 3, rank - 1, 3)])  # D_n
+    if rank in (6, 7, 8):
+        out.append(path[:-1] + [(2, rank - 1, 3)])  # E_n
+    if rank == 2:
+        out.extend([(0, 1, m)] for m in labels if m != float("inf"))  # I_2(m)
+    if rank == 3:
+        out.append([(0, 1, 5), (1, 2, 3)])  # H_3
+    if rank == 4:
+        out.append([(0, 1, 3), (1, 2, 4), (2, 3, 3)])  # F_4
+        out.append([(0, 1, 5), (1, 2, 3), (2, 3, 3)])  # H_4
+    return out
+
+
+@pytest.mark.parametrize("name", list(PINNED_DIAGRAMS))
+def test_spherical_subsets_match_a_networkx_oracle(name):
+    # a subset is spherical iff each connected component of its labelled
+    # graph is isomorphic, labels matched, to a standard diagram
+    nx = pytest.importorskip("networkx")
+    d = parse_diagram(PINNED_DIAGRAMS[name])
+    graph = nx.Graph()
+    graph.add_nodes_from(d.vertices)
+    for pair, m in d.labels.items():
+        graph.add_edge(*pair, m=m)
+
+    def standard(component):
+        sub = graph.subgraph(component)
+        labels = {m for _, _, m in sub.edges(data="m")}
+        for edges in _standard_diagrams(len(component), labels):
+            model = nx.Graph()
+            model.add_nodes_from(range(len(component)))
+            model.add_edges_from((i, j, {"m": m}) for i, j, m in edges)
+            if nx.is_isomorphic(sub, model, edge_match=lambda e, f: e["m"] == f["m"]):
+                return True
+        return False
+
+    expected = {}
+    for k in range(1, len(d.vertices) + 1):
+        for subset in map(frozenset, itertools.combinations(d.vertices, k)):
+            sub = graph.subgraph(subset)
+            if all(standard(c) for c in nx.connected_components(sub)):
+                expected[subset] = nx.is_connected(sub)
+    assert spherical_subsets(d) == expected
