@@ -13,7 +13,7 @@ from .diagram import (
     subset_key,
     subset_name,
 )
-from .garside import check_budget, delta_power
+from .garside import DEFAULT_LETTER_BUDGET, check_budget, delta_power
 from .raag import FlagComplex, RaagError, substitute
 
 DEFAULT_MAX_RANK = 12
@@ -26,7 +26,8 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     One walk on an explicit stack (a set may outgrow Python's recursion
     limit) grows each spherical set by the vertices after its last one and
     classifies each candidate once; a non-spherical set has no spherical
-    superset, so it is not grown.
+    superset, so it is not grown.  Past the default letter budget, the
+    count of sets found meets the letter budget.
     """
     if len(diagram.vertices) > max_rank:
         raise DiagramError("diagram has %d vertices; raise max_rank to walk its "
@@ -41,6 +42,8 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
             report = finite_type(diagram, cand)
             if report.is_spherical:
                 found[cand] = len(report.components) == 1
+                if len(found) > DEFAULT_LETTER_BUDGET:
+                    check_budget("nerve walk", len(found), "lattice of %d spherical subsets")
                 stack.append((cand, i + 1))
     return {s: found[s] for s in sorted(found, key=subset_key)}
 
