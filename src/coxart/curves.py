@@ -494,7 +494,7 @@ def e7_kernel_check(power=1):
 
 
 LanternReport = namedtuple("LanternReport",
-                           "artin_commute raag_commute retraction_pair detail")
+                           "artin_commute raag_commute retraction_pair retraction_commute")
 
 
 def _puncture_interval_gens(a, b):
@@ -541,15 +541,5 @@ def lantern_check():
     ]
     red_image = raag_normal_form(sub.complex, retraction(sub.complex, keep, z_red))
     blue_image = raag_normal_form(sub.complex, retraction(sub.complex, keep, z_blue))
-    retraction_commute = raag_commutes(sub.complex, red_image, blue_image)
-
-    return LanternReport(
-        artin_commute,
-        raag_comm,
-        (red_image, blue_image),
-        {
-            "retraction_images_commute": retraction_commute,
-            "red_image": red_image,
-            "blue_image": blue_image,
-        },
-    )
+    return LanternReport(artin_commute, raag_comm, (red_image, blue_image),
+                         raag_commutes(sub.complex, red_image, blue_image))

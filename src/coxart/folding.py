@@ -148,11 +148,8 @@ def f_word(images, raag_word):
     return [(c, exp) for name, exp in raag_word for c in images[name]]
 
 
-ComponentReport = namedtuple("ComponentReport", "subset tag coxeter_number")
-
-
 def component_report(fold):
-    """Type and Coxeter number of every component of the fold target.
+    """The `ComponentType` of every component of the fold target.
 
     Each component's Coxeter number must equal that of the source system.
     """
@@ -163,12 +160,10 @@ def component_report(fold):
     report = finite_type(fold.target)
     if not report.is_spherical:
         raise AssertionError("fold produced a non-spherical component")
-    out = []
     for ct in report.components:
         if ct.coxeter_number != h_src:
             raise AssertionError(
                 "component %s has Coxeter number %d, source has %d"
                 % (ct.tag, ct.coxeter_number, h_src)
             )
-        out.append(ComponentReport(frozenset(ct.order), ct.tag, ct.coxeter_number))
-    return out
+    return report.components

@@ -48,7 +48,7 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     return {s: found[s] for s in sorted(found, key=subset_key)}
 
 
-class Nerve(namedtuple("Nerve", "diagram simplices")):
+class Nerve(namedtuple("Nerve", "simplices")):
     """Simplicial complex of spherical subsets; generally not flag.
     `simplices` holds every nonempty spherical subset, as frozensets."""
 
@@ -65,10 +65,10 @@ class Nerve(namedtuple("Nerve", "diagram simplices")):
 
 def nerve(diagram, max_rank=DEFAULT_MAX_RANK):
     """The nerve: T spans a simplex iff T is spherical."""
-    return Nerve(diagram, tuple(spherical_subsets(diagram, max_rank)))
+    return Nerve(tuple(spherical_subsets(diagram, max_rank)))
 
 
-class SubdividedNerve(namedtuple("SubdividedNerve", "diagram complex vertex_subsets")):
+class SubdividedNerve(namedtuple("SubdividedNerve", "complex vertex_subsets")):
     """Davis-Huang partial barycentric subdivision as a flag complex.
 
     Vertices are the irreducible spherical subsets; two are joined iff one
@@ -110,7 +110,7 @@ def subdivision(diagram, max_rank=DEFAULT_MAX_RANK):
     """The partial barycentric subdivision of the nerve."""
     names = {subset_name(s): s
              for s, irreducible in spherical_subsets(diagram, max_rank).items() if irreducible}
-    return SubdividedNerve(diagram, _subset_complex(diagram, names), names)
+    return SubdividedNerve(_subset_complex(diagram, names), names)
 
 
 def complex_on_subsets(diagram, subsets):
@@ -121,7 +121,7 @@ def complex_on_subsets(diagram, subsets):
         s = frozenset(s)
         require_irreducible_spherical(diagram, s)
         named[subset_name(s)] = s
-    return _subset_complex(diagram, named), named
+    return _subset_complex(diagram, named)
 
 
 def phi_word(diagram, n_power, raag_word, subdivided=None):

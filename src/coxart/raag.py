@@ -533,8 +533,7 @@ def generalized_pp_check(system, l1_vertices, l2_vertices):
 # -- bounded injectivity certificates ----------------------------------------
 
 InjectivityReport = namedtuple(
-    "InjectivityReport", "ok words_checked slow_path_checked violation detail",
-    defaults=(None, ""))
+    "InjectivityReport", "ok words_checked slow_path_checked violation detail")
 
 
 def verify_injectivity_bounded(

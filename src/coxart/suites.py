@@ -75,14 +75,11 @@ RANK4_TYPES = (
 
 
 #: `status` is pass, fail or skipped
-CheckResult = namedtuple("CheckResult", "id status elapsed detail", defaults=("",))
+CheckResult = namedtuple("CheckResult", "id status elapsed detail")
 
 
 class SuiteResult(namedtuple("SuiteResult", "suite checks")):
     __slots__ = ()
-
-    def __new__(cls, suite, checks=None):
-        return super().__new__(cls, suite, [] if checks is None else checks)
 
     @property
     def ok(self):
@@ -609,7 +606,7 @@ def f_preserves_reduced(fold, src, images, max_len=4):
     image_subsets = {c for image in images.values() for c in image.values()}
     # F lands in the full subcomplex on these vertices, which computes the
     # same normal forms as the whole target subdivision
-    tgt_complex, _ = complex_on_subsets(fold.target, image_subsets)
+    tgt_complex = complex_on_subsets(fold.target, image_subsets)
     size = {name: len(image) for name, image in images.items()}
     seen_img = set()
     count = representatives = mapped = 0
@@ -811,7 +808,7 @@ def _lantern_retraction(report):
     r = report()
     red, blue = r.retraction_pair
     assert red != blue and red and blue
-    assert not r.detail["retraction_images_commute"]
+    assert not r.retraction_commute
     return "images %s vs %s" % (red, blue)
 
 
@@ -845,7 +842,7 @@ def run_suite(name, config=None):
     unread = sorted(set(config) - set(params))
     if unread:
         raise ValueError("suite %s reads no option %r" % (name, unread[0]))
-    result = SuiteResult(name)
+    result = SuiteResult(name, [])
     for check_id, check in suite(**config):
         t0 = time.monotonic()
         try:

@@ -348,7 +348,7 @@ def test_lantern_check():
     red, blue = report.retraction_pair
     assert red == [("t1+t2+t3+t4+t5", 1)]
     assert blue == [("t3+t4+t5+t6+t7", 1)]
-    assert not report.detail["retraction_images_commute"]
+    assert not report.retraction_commute
 
 
 def test_e7_kernel_check():

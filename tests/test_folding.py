@@ -183,7 +183,7 @@ def test_f_word_letters_commute():
     full = sorted(sub.vertex_subsets)[-1]
     image = f_word(fold_images(fold, sub.vertex_subsets), [(full, 1)])
     subsets = [frozenset(n.split("+")) for n, _ in image]
-    cx, _ = complex_on_subsets(fold.target, subsets)
+    cx = complex_on_subsets(fold.target, subsets)
     word = [(n, 1) for n, _ in image]
     rev = [(n, 1) for n, _ in reversed(image)]
     assert raag_normal_form(cx, word) == raag_normal_form(cx, rev)
@@ -374,7 +374,7 @@ def test_f_preserves_reduced_names_each_planted_fault(monkeypatch):
 
     # at length 3 F(s1 s2 s1^-1) cancels; the first failing word of the
     # whole sample, found here word by word, is the one named
-    cx, _ = complex_on_subsets(fold.target, [
+    cx = complex_on_subsets(fold.target, [
         c for image in commuting.values() for c in image.values()])
     first = next(
         w for w in enumerate_reduced_words(src.complex, 3)

@@ -93,7 +93,7 @@ def test_subdivision_monotone_under_full_subdiagrams():
 
 def test_complex_on_subsets_matches_subdivision():
     sub = subdivision(BRAID4)
-    cx, named = complex_on_subsets(BRAID4, sub.vertex_subsets.values())
+    cx = complex_on_subsets(BRAID4, sub.vertex_subsets.values())
     assert set(cx.vertices) == set(sub.complex.vertices)
     assert cx.edges == sub.complex.edges
 
