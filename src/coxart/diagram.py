@@ -116,7 +116,7 @@ class CoxeterDiagram(FrozenRecord):
         for a, b in labels:
             near[a].add(b)
             near[b].add(a)
-        object.__setattr__(self, "_near", near)
+        object.__setattr__(self, "_near", {v: frozenset(ws) for v, ws in near.items()})
 
     def m(self, a, b):
         """Coxeter label m(a,b); 2 when no edge is stored, 1 on the diagonal."""
@@ -136,9 +136,9 @@ class CoxeterDiagram(FrozenRecord):
         return out
 
     def neighbors(self, v, subset=None):
-        """The vertices of `subset` (default: all) joined to v by a label."""
-        near = self._near.get(v, set())
-        return set(near) if subset is None else near.intersection(subset)
+        """The vertices of `subset` (default: all, the stored frozenset) joined to v."""
+        near = self._near.get(v, frozenset())
+        return near if subset is None else near.intersection(subset)
 
     def induced(self, subset):
         """Full subdiagram on `subset`, vertex order inherited."""

@@ -105,7 +105,7 @@ def _validate_fold(fold):
                 continue
             m = src.m(a, b)
             if m == 2:
-                if any(tgt.neighbors(x, fibers[b]) for x in fibers[a]):
+                if not all(tgt.neighbors(x).isdisjoint(fibers[b]) for x in fibers[a]):
                     raise DiagramError("fold: fibers of commuting generators %s, %s "
                                        "touch" % (a, b))
                 continue

@@ -27,13 +27,13 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     limit) grows each spherical set by the vertices after its last one and
     classifies each candidate once; a non-spherical set has no spherical
     superset, so it is not grown.  Past the default letter budget, the
-    count of sets found meets the letter budget.
+    letters the found sets hold, the sum of their sizes, meet the budget.
     """
     if len(diagram.vertices) > max_rank:
         raise DiagramError("diagram has %d vertices; raise max_rank to walk its "
                            "subset lattice" % len(diagram.vertices))
     verts = sorted(diagram.vertices, key=sort_key)
-    found = {}
+    found, letters = {}, 0
     stack = [(frozenset(), 0)]
     while stack:
         base, start = stack.pop()
@@ -42,8 +42,9 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
             report = finite_type(diagram, cand)
             if report.is_spherical:
                 found[cand] = len(report.components) == 1
-                if len(found) > DEFAULT_LETTER_BUDGET:
-                    check_budget("nerve walk", len(found), "lattice of %d spherical subsets")
+                letters += len(cand)
+                if letters > DEFAULT_LETTER_BUDGET:
+                    check_budget("nerve walk", letters, "lattice holding %d vertex letters")
                 stack.append((cand, i + 1))
     return {s: found[s] for s in sorted(found, key=subset_key)}
 
@@ -91,7 +92,7 @@ def nested_or_commuting(diagram, a, b):
     a neighbour in b."""
     if a <= b or b <= a:
         return True
-    return a.isdisjoint(b) and not any(diagram.neighbors(x, b) for x in a)
+    return a.isdisjoint(b) and all(diagram.neighbors(x).isdisjoint(b) for x in a)
 
 
 def _subset_complex(diagram, named):

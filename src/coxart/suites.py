@@ -269,29 +269,29 @@ def _longest_hyperplane(m):
     )
 
 
+def _h1_delta_sq_rule(group, subset, tag):
+    """h1(Delta_T^2) is the sum of e_r over the positive roots r that w_T
+    inverts; returns how many roots that is."""
+    delta = delta_word(group.diagram, subset, 1)
+    w_t = group.word_to_element([g for g, _ in delta])
+    inverted = {r: 1 for r in range(group.n_pos) if w_t[r] >= group.n_pos}
+    assert h1_image(group, delta * 2).as_dict() == inverted, (
+        "h1(Delta_T^2) wrong for T=%s in %s" % (subset_name(subset), tag))
+    return len(inverted)
+
+
 def _h1_delta_sq(fam, n, p):
-    diagram = type_diagram(fam, n, p)
-    group = build_group(diagram)
-    vec = h1_image(group, delta_word(diagram, diagram.vertices, 2))
-    expected = {r: 1 for r in range(group.n_pos)}
-    assert vec.as_dict() == expected, "h1(Delta^2) != sum of e_r"
+    group = build_group(type_diagram(fam, n, p))
+    inverted = _h1_delta_sq_rule(group, group.diagram.vertices, _tag(fam, n, p))
+    assert inverted == group.n_pos, "w_S inverts %d of %d roots" % (inverted, group.n_pos)
 
 
 def _h1_delta_sq_parabolic():
     # proper irreducible spherical subsets inside larger groups
     for fam, n in (("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 4)):
-        diagram = type_diagram(fam, n)
-        group = build_group(diagram)
-        for subset in [s for s, irr in spherical_subsets(diagram).items() if irr]:
-            delta = delta_word(diagram, subset, 1)
-            vec = h1_image(group, delta * 2)
-            wt = group.word_to_element([g for g, _ in delta])
-            expected = {
-                r: 1 for r in range(group.n_pos) if wt[r] >= group.n_pos
-            }
-            assert vec.as_dict() == expected, (
-                "h1(Delta_T^2) wrong for T=%s in %s%d" % (subset_name(subset), fam, n)
-            )
+        group = build_group(type_diagram(fam, n))
+        for subset in [s for s, irr in spherical_subsets(group.diagram).items() if irr]:
+            _h1_delta_sq_rule(group, subset, _tag(fam, n, None))
 
 
 def _h1_simplex_independence(fam, n):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from coxart.curves import (
+    _interval_commutes,
     audit_system,
     build_an,
     build_dn,
@@ -18,7 +19,7 @@ from coxart.curves import (
     reference_choice,
     to_word_system,
 )
-from coxart.diagram import DiagramError
+from coxart.diagram import DiagramError, type_diagram
 from coxart.nerve import nested_or_commuting, subset_name
 from coxart.raag import FlagComplex, pp_search
 
@@ -78,6 +79,22 @@ def test_an_even_interval_meets_everything_noncommuting():
             continue
         for c in system.boundary[other]:
             assert system.intersects(curve, c), (curve, c)
+
+
+def test_interval_rule_is_the_commute_or_nest_rule():
+    # the A family's index arithmetic for intervals [i, j] of generators
+    # agrees with nested_or_commuting on their subsets, equal pairs included
+    pairs = 0
+    for n in range(1, 13):
+        diagram = type_diagram("A", n)
+        intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for (i1, j1), (i2, j2) in itertools.product(intervals, repeat=2):
+            a = frozenset(diagram.vertices[i1 - 1:j1])
+            b = frozenset(diagram.vertices[i2 - 1:j2])
+            assert _interval_commutes(i1, j1, i2, j2) == nested_or_commuting(
+                diagram, a, b), (n, (i1, j1), (i2, j2))
+            pairs += 1
+    assert pairs == 18382
 
 
 def test_an_same_parity_mixed_pairs_disjoint():

@@ -415,13 +415,14 @@ def test_spherical_subsets_match_a_networkx_oracle(name):
 def test_nerve_walk_meets_the_letter_budget_past_the_default(capsys, monkeypatch):
     # the package exports the function nerve, which hides the module's name
     nerve_module = importlib.import_module("coxart.nerve")
-    argv = ["export", "--what", "nerve", "--diagram", "type A 11"]  # 2047 subsets
+    argv = ["export", "--what", "nerve", "--diagram", "type A 11"]  # 2047 subsets, 11264 letters
     monkeypatch.setenv("COXART_LETTER_BUDGET", "1000")
     assert main(argv) == 0  # below the default budget, only words are bounded
     capsys.readouterr()
     monkeypatch.setattr(nerve_module, "DEFAULT_LETTER_BUDGET", 1000)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "resource budget exceeded: nerve walk: lattice "
-                                   "of 1001 spherical subsets exceeds the letter budget 1000\n")
+                                   "holding 1005 vertex letters exceeds the letter budget "
+                                   "1000\n")
     monkeypatch.delenv("COXART_LETTER_BUDGET")
     assert main(argv) == 0  # the default budget of 10**6 holds the walk
