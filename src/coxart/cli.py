@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 a verification check failed, 2 usage or
-resource-budget error.  The subcommands that print a verdict or a value
-take --json for machine output; the others print JSON or dot already.
+resource-budget error, 141 (128 + SIGPIPE) the reader closed the output.
+The subcommands that print a verdict or a value take --json for machine
+output; the others print JSON or dot already.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _emit(args, doc, text):
 
 def cmd_nf(args):
     eng = ArtinEngine(_load_group(args.group))
-    nf = eng.normal_form(parse_word(args.word))
+    nf = eng.normal_form(parse_word(args.word, eng.w.gens))
     canon = ["".join(eng.w.reduced_word(u)) for u in nf.canon]
     _emit(args, {"inf": nf.inf, "canon": canon},
           "inf=%d; canon=%s" % (nf.inf, "|".join(canon)))
@@ -66,14 +67,15 @@ def cmd_nf(args):
 
 def cmd_commute(args):
     eng = ArtinEngine(_load_group(args.group))
-    result = eng.commutes(parse_word(args.w1), parse_word(args.w2))
+    result = eng.commutes(parse_word(args.w1, eng.w.gens),
+                          parse_word(args.w2, eng.w.gens))
     _emit(args, {"commute": result}, "commute" if result else "do not commute")
     return 0
 
 
 def cmd_h1(args):
     group = _load_group(args.group)
-    vec = h1_image(group, parse_word(args.word))
+    vec = h1_image(group, parse_word(args.word, group.gens))
     labels = reflection_labels(group, [r for r, _ in vec.coeffs])
     entries = {label: c for label, (_, c) in zip(labels, vec.coeffs)}
     if len(entries) < len(labels):
@@ -261,10 +263,15 @@ def main(argv=None):
     # --budget holds for this command only; without it the caller's budget stands
     token = RUN_BUDGET.set(getattr(args, "budget", None) or RUN_BUDGET.get())
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
     except BudgetExceeded as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the Python docs' SIGPIPE note: exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

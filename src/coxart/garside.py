@@ -15,7 +15,10 @@ left-weighted by moving onto u the longest prefix of v that keeps u simple;
 that prefix is grown by root lookups, with no descent sets, two generators
 per gather.  Two normal forms multiply without re-reading either word,
 Delta^i A Delta^j B = Delta^(i+j) tau^j(A) B, which is how two words are
-tested for commuting.  The budget bounds the letters of a word.  The word of
+tested for commuting.  An engine holds only the first word of its last
+`commutes` with that word's (inf, canon), so Delta_T^2 tested against each
+generator in turn is read once; not an element, whose engine reference would
+make a cycle.  The budget bounds the letters of a word.  The word of
 Delta_T is the greedy word of the longest element of W_T, read off the
 cached type models (wgroup.longest_word), so building it builds no group.
 """
@@ -66,8 +69,9 @@ def check_budget(layer, count, what="word of %d letters"):
 
 # -- Artin words -------------------------------------------------------------
 
-def parse_word(text):
-    """Parse whitespace-separated ``gen^exp`` tokens into an Artin word.
+def parse_word(text, gens=None):
+    """Parse whitespace-separated ``gen^exp`` tokens into an Artin word; a
+    letter outside `gens`, when given, raises DiagramError even at exponent 0.
 
     >>> parse_word("s^2 t^-2 s")
     [('s', 2), ('t', -2), ('s', 1)]
@@ -83,6 +87,8 @@ def parse_word(text):
             gen, exp = token, 1
         if not gen:
             raise ValueError("empty generator in token %r" % token)
+        if gens is not None and gen not in gens:
+            raise DiagramError("unknown generator %r" % (gen,))
         if exp != 0:
             word.append((gen, exp))
     return word
@@ -120,6 +126,8 @@ class ArtinEngine(object):
         # generator -> (index of alpha_g, gather of s_g, s_g), for push_word
         # and _fix_pair, which apply letters in pairs through w.pair_times
         self._steps = {g: (w.alpha_index(g), w.times[g], w.simple(g)) for g in w.gens}
+        # commutes' last first word, as a tuple of tuples, and its (inf, canon)
+        self._held = None, None
 
     def tau(self, u):
         """Delta^-1 u Delta on simples, i.e. conjugation by the longest element."""
@@ -153,9 +161,14 @@ class ArtinEngine(object):
         return state.readout()
 
     def commutes(self, w1, w2):
-        """Whether w1 w2 = w2 w1, each word read once."""
+        """Whether w1 w2 = w2 w1, each word read once; a w1 equal to the last
+        call's is not read again (one entry held, so memory stays flat)."""
         check_budget("garside normal form", word_length(w1) + word_length(w2))
-        a, b = self._read(w1), self._read(w2)
+        key = tuple(map(tuple, w1))  # a copy: the caller may mutate w1
+        if key != self._held[0]:
+            a = self._read(key)
+            self._held = key, (a.inf, a.canon)
+        a, b = GarsideElement(self, *self._held[1]), self._read(w2)
         return self.multiply(a, b) == self.multiply(b, a)
 
 

@@ -384,6 +384,48 @@ def test_bad_diagram_line_names_the_token(capsys, diagram, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [
+    ("nf", "--word", "x^0"), ("nf", "--word", "s1 x^0"), ("h1", "--word", "x^0"),
+    ("commute", "--w1", "x^0", "--w2", "s1"), ("commute", "--w1", "s1", "--w2", "x^0"),
+])
+def test_unknown_letter_at_exponent_zero_is_a_usage_error(capsys, argv):
+    # the message and exit code of a plain unknown letter
+    argv = (argv[0], "--group", "type A 2") + argv[1:]
+    assert run(capsys, *argv) == (2, "", "error: unknown generator 'x'\n")
+
+
+def test_generator_at_exponent_zero_is_the_identity(capsys):
+    assert run(capsys, "nf", "--group", "type A 2", "--word", "s1^0") == (
+        0, "inf=0; canon=\n", "")
+    assert run(capsys, "h1", "--group", "type A 2", "--word", "s2^0") == (0, "0\n", "")
+    assert run(capsys, "commute", "--group", "type A 2", "--w1", "s1^0",
+               "--w2", "s2") == (0, "commute\n", "")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("export", "--what", "nerve", "--diagram", "type A 12"), 1),
+    (("nf", "--group", "type A 2", "--word", "s1"), 0),
+])
+def test_closed_output_pipe_exits_141_quietly(argv, lines):
+    # a reader that takes one line of a 350 KB export closes the pipe while
+    # more than a pipe's capacity is still to write; a reader that takes
+    # nothing closes it before the short nf line is flushed at exit.  stdout
+    # is block-buffered, as it is where PYTHONUNBUFFERED is unset
+    import subprocess
+    import sys
+
+    env = subprocess_env("0")
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "coxart.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "nf", "--group", "type A 2",
                        "--word", "s1^50", "--budget", "10")

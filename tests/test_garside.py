@@ -382,6 +382,85 @@ def test_memory_flat_across_repeated_normal_forms():
     assert sizes[19] - sizes[1] <= 64 * 1024, sizes
 
 
+def test_held_first_word_gives_a_fresh_engines_answers():
+    # commutes keeps its last first word; interleaved first words, list
+    # syllables and words the caller mutates between calls must all get the
+    # answers of an engine that has seen nothing
+    d = type_diagram("E", 6)
+    eng = ArtinEngine(build_group(d))
+    words = [delta_word(d, d.vertices, 2), delta_word(d, ["s1", "s2"], 2),
+             [("s1", 2)], [("s2", -1), ("s4", 3)]]
+
+    def answers(w1):
+        got = [eng.commutes(w1, [(g, 1)]) for g in d.vertices]
+        assert got == [ArtinEngine(eng.w).commutes(w1, [(g, 1)])
+                       for g in d.vertices], w1
+        return got
+
+    for w1 in words + words[::-1] + [w for w in words for _ in range(2)]:
+        assert answers([list(x) for x in w1]) == answers(w1)
+    # each change to the caller's list changes the answers
+    word = [["s1", 2]]
+    seen = [answers(word)]
+    for change in (lambda: word[0].__setitem__(0, "s2"),
+                   lambda: word.append(["s3", 1]),
+                   lambda: word[0].__setitem__(1, 0)):
+        change()
+        seen.append(answers(word))
+        assert seen[-1] != seen[-2], word
+
+
+def test_commutes_leaves_no_cycle_through_the_engine():
+    # the held entry is (inf, canon), not an element, so the engine dies with
+    # its last reference and not at the next cyclic collection
+    import gc
+    import weakref
+
+    d = type_diagram("E", 6)
+    eng = ArtinEngine(build_group(d))
+    assert eng.commutes(delta_word(d, d.vertices, 2), [("s1", 1)])
+    ref = weakref.ref(eng)
+    gc.disable()
+    try:
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memory_flat_across_new_first_words_of_commutes():
+    # one held entry: each call's first word is new and longer than the last,
+    # so a cache of first words would keep growing
+    import tracemalloc
+
+    eng = ArtinEngine(build_group(type_diagram("E", 8)))
+    words = [_e8_conjugation_word(2, "s7", k) for k in range(1, 21)]
+    sizes = []
+    tracemalloc.start()
+    try:
+        for word in words:
+            eng.commutes(word, [("s6", 1)])
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[19] - sizes[1] <= 64 * 1024, sizes
+
+
+def test_held_first_word_still_meets_the_budget():
+    from coxart.garside import RUN_BUDGET
+
+    d = type_diagram("E", 6)
+    eng = ArtinEngine(build_group(d))
+    delta_sq = delta_word(d, d.vertices, 2)
+    assert eng.commutes(delta_sq, [("s1", 1)])
+    token = RUN_BUDGET.set(len(delta_sq))
+    try:
+        with pytest.raises(BudgetExceeded):
+            eng.commutes(delta_sq, [("s1", 1)])
+    finally:
+        RUN_BUDGET.reset(token)
+
+
 def test_delta_squared_central_e7_restricted():
     # the restricted large-type check: Delta^2 commutes with every generator
     d = type_diagram("E", 7)
