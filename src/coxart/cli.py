@@ -108,7 +108,7 @@ def cmd_pp_check(args):
     words = doc.get("words", {})
     if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
         raise RaagError("'words' must map simplex names to word strings")
-    system = WordSystem(cx, {name_subset(key): parse_word(val)
+    system = WordSystem(cx, {name_subset(key): parse_word(val, cx.vertices)
                              for key, val in words.items()})
     if args.split:
         l1, l2 = (part.split(",") for part in args.split)

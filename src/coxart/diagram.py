@@ -94,7 +94,10 @@ class FrozenRecord(object):
 class CoxeterDiagram(FrozenRecord):
     """A Coxeter diagram: ordered vertex names plus labels m(s,t) != 2.
     Its labels dict makes it unhashable.  The neighbours of each vertex are
-    read off the labels once, when the diagram is made."""
+    read off the labels once, when the diagram is made.  `_longest_words`,
+    empty until then, holds the greedy word of w_T for each subset T whose
+    Delta_T word was built (wgroup.longest_word); like `_near`, it is not a
+    field, so equality and repr never see it."""
 
     _fields = ("vertices", "labels")
 
@@ -117,6 +120,7 @@ class CoxeterDiagram(FrozenRecord):
             near[a].add(b)
             near[b].add(a)
         object.__setattr__(self, "_near", {v: frozenset(ws) for v, ws in near.items()})
+        object.__setattr__(self, "_longest_words", {})
 
     def m(self, a, b):
         """Coxeter label m(a,b); 2 when no edge is stored, 1 on the diagonal."""

@@ -20,7 +20,8 @@ tested for commuting.  An engine holds only the first word of its last
 generator in turn is read once; not an element, whose engine reference would
 make a cycle.  The budget bounds the letters of a word.  The word of
 Delta_T is the greedy word of the longest element of W_T, read off the
-cached type models (wgroup.longest_word), so building it builds no group.
+cached type models once per diagram and subset and then kept in the
+diagram's table (wgroup.longest_word), so building it builds no group.
 """
 
 from __future__ import annotations

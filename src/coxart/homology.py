@@ -3,10 +3,10 @@ crossings, linear independence certificates, and the dihedral audit that the
 image of a short pure word misses a longest hyperplane.
 
 A word's class is read in one walk: each syllable adds its exponent on one
-hyperplane, and the prefix in W steps through the generator's gather
-(WGroup.times) once per odd syllable, so purity is read off the final
-prefix.  A reflection's label is its greedy reduced word; in rank 2 that
-word is read off in closed form."""
+hyperplane, and the prefix in W moves only at odd syllables, two of them
+per gather (WGroup.pair_times), so purity is read off the final prefix.  A
+reflection's label is its greedy reduced word; in rank 2 that word is read
+off in closed form."""
 
 from __future__ import annotations
 
@@ -50,25 +50,37 @@ def h1_image(group, word):
     after a prefix mapping to w crosses the hyperplane of the reflection
     w s w^-1, i.e. the one keyed by the positive root w(alpha_s).  Since
     w s (alpha_s) = -w(alpha_s), all letters of a syllable x_s^e cross that
-    one hyperplane, so it adds e there, and the prefix steps through the
-    gather of s only when e is odd.  The word is pure when the final prefix
-    is the identity.  Every hyperplane is crossed an even number of times
-    for a pure word, and the class is half of the accumulated signed
-    count.  A word of more letters than the letter budget raises
-    BudgetExceeded before the walk, an unknown letter DiagramError.
+    one hyperplane, so it adds e there, and the prefix moves by s only when
+    e is odd.  As in push_word, an odd letter p is held back, so that the
+    prefix is w s_p and the next letter's root is w(s_p(alpha_s)); the next
+    odd letter enters with p by one pair gather, and a letter still held at
+    the end by its own gather.  The word is pure when the final prefix is
+    the identity.  Every hyperplane is crossed an even number of times for
+    a pure word, and the class is half of the accumulated signed count.  A
+    word of more letters than the letter budget raises BudgetExceeded
+    before the walk, an unknown letter DiagramError.
     """
     check_budget("h1 image", word_length(word))
     n = group.n_pos
+    times = group.times
+    pair = group.pair_times
     acc = {}
     prefix = group.identity
+    p = None  # the held-back letter: the prefix so far is prefix s_p
     for g, e in word:
-        times = group.times.get(g)
-        if times is None:
+        if g not in times:
             raise DiagramError("unknown generator %r" % (g,))
-        root = prefix[group.alpha_index(g)] % n
+        alpha = group.alpha_index(g)
+        root = (prefix[alpha] if p is None else prefix[p_s[alpha]]) % n
         acc[root] = acc.get(root, 0) + e
         if e % 2:
-            prefix = times(prefix)
+            if p is None:
+                p, p_s = g, group.simple(g)
+            else:
+                prefix = pair(p, g)(prefix)
+                p = None
+    if p is not None:
+        prefix = times[p](prefix)
     if prefix != group.identity:
         raise DiagramError("word is not pure")
     for r, c in acc.items():

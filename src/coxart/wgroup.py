@@ -13,8 +13,10 @@ w -> w s_g is one C-level call, and, on first use, one gather per ordered
 pair of generators (over s_g s_h), so that w -> w s_g s_h is one call too:
 at most |S|^2 of them, and nothing is cached per element.  The
 greedy word of the longest element of a spherical subset, which spells
-Delta_T, is read off the type models, one cached word per component and
-vertex ranking, with no group built for the subset.
+Delta_T, is read off the type models with no group built for the subset:
+each type and vertex ranking keeps one word in a bounded cache, and each
+diagram keeps the merged word of every subset it was asked for in its own
+table, which goes with the diagram.
 """
 
 from __future__ import annotations
@@ -202,13 +204,20 @@ def _spherical_components(diagram, subset):
 def longest_word(diagram, subset):
     """The greedy smallest-left-descent word of the longest element of W_T,
     read off the type models without building W_T.  Its components commute,
-    so the greedy word is their greedy words merged by smallest head."""
-    words = []
-    for c in _spherical_components(diagram, subset)[1]:
-        ranking = tuple(sorted(range(c.rank), key=lambda i: sort_key(c.order[i])))
-        words.append([c.order[i]
-                      for i in _component_longest_word(c.family, c.rank, c.p, ranking)])
-    return tuple(merge(*words, key=sort_key))
+    so the greedy word is their greedy words merged by smallest head.  The
+    word is derived once per diagram and subset and kept, as a tuple, in the
+    diagram's table."""
+    key = frozenset(diagram.vertices if subset is None else subset)
+    table = diagram._longest_words
+    word = table.get(key)
+    if word is None:
+        words = []
+        for c in _spherical_components(diagram, subset)[1]:
+            ranking = tuple(sorted(range(c.rank), key=lambda i: sort_key(c.order[i])))
+            words.append([c.order[i]
+                          for i in _component_longest_word(c.family, c.rank, c.p, ranking)])
+        word = table[key] = tuple(merge(*words, key=sort_key))
+    return word
 
 
 class WGroup(object):

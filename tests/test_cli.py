@@ -126,6 +126,8 @@ def test_pp_check_malformed_files_exit_two(tmp_path, capsys):
         ({"vertices": ["a", "b"], "edges": [], "words": {"a": 3}}, "'words'"),
         ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]], "words": {"a": "a"}},
          "duplicate vertex in ('a', 'a', 'b')"),
+        ({"vertices": ["a", "b"], "edges": [], "words": {"a": "a^2", "b": "b^2 zz^0"}},
+         "unknown generator 'zz'"),
     )
     for doc, message in docs:
         path = tmp_path / "system.json"

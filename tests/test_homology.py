@@ -7,10 +7,11 @@ import pytest
 
 import coxart
 from coxart.diagram import DiagramError, parse_diagram, type_diagram
-from coxart.garside import BudgetExceeded, delta_word, parse_word
+from coxart.garside import BudgetExceeded, check_budget, delta_word, parse_word, word_length
 from coxart import homology
 from coxart.homology import (
     AuditReport,
+    H1Vector,
     h1_image,
     independence_check,
     is_pure,
@@ -264,3 +265,94 @@ def test_import_loads_no_number_tower():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- the walk two odd letters per gather against one gather per letter ---------
+
+def _h1_one_gather_per_letter(group, word):
+    """The reference walk: the prefix steps through the generator's own
+    gather at every odd syllable, and the class is read as in h1_image."""
+    check_budget("h1 image", word_length(word))
+    n = group.n_pos
+    acc = {}
+    prefix = group.identity
+    for g, e in word:
+        times = group.times.get(g)
+        if times is None:
+            raise DiagramError("unknown generator %r" % (g,))
+        root = prefix[group.alpha_index(g)] % n
+        acc[root] = acc.get(root, 0) + e
+        if e % 2:
+            prefix = times(prefix)
+    if prefix != group.identity:
+        raise DiagramError("word is not pure")
+    for r, c in acc.items():
+        if c % 2:
+            raise AssertionError("odd crossing count on hyperplane %d for a pure word" % r)
+    return H1Vector.from_dict({r: c // 2 for r, c in acc.items()})
+
+
+def _outcome(walk, group, word):
+    try:
+        return walk(group, word)
+    except (DiagramError, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_word(rng, group, syllables):
+    """Runs of same-sign odd powers, mostly +-1 (a letter may repeat),
+    between even syllables."""
+    gens = group.gens
+    word = []
+    while len(word) < syllables:
+        if rng.random() < 0.6:
+            sign = rng.choice((1, -1))
+            word += [(rng.choice(gens), sign * rng.choice((1, 1, 3)))
+                     for _ in range(rng.randrange(1, 6))]
+        else:
+            word.append((rng.choice(gens), rng.choice((-4, -2, 2, 4))))
+    return word
+
+
+def _closed(rng, group, word):
+    """`word` followed by a reduced word of the inverse of its image in W,
+    each letter of random sign, with an even syllable in its middle: a pure
+    word."""
+    w = group.word_to_element(g for g, e in word if e % 2)
+    back = [(g, rng.choice((1, -1))) for g in group.reduced_word(group.inverse(w))]
+    back.insert(rng.randrange(len(back) + 1), (rng.choice(group.gens), 2))
+    return word + back
+
+
+@pytest.mark.parametrize("source", ("type A 3", "type B 4", "type H 4", "type E 8"))
+def test_two_letter_walk_matches_one_gather_per_letter(source, monkeypatch):
+    group = build_group(parse_diagram(source))
+    rng = random.Random(source)
+    for _ in range(40):
+        pure = _closed(rng, group, _seeded_word(rng, group, rng.randrange(1, 30)))
+        assert is_pure(group, pure)
+        expected = _h1_one_gather_per_letter(group, pure)
+        assert h1_image(group, pure) == expected
+        # a letter repeated, so that a pair gather steps s_g s_g
+        g = rng.choice(group.gens)
+        doubled = pure + [(g, 1), (g, 1)]
+        assert h1_image(group, doubled) == _h1_one_gather_per_letter(group, doubled)
+        # a pure word and one odd letter ends on a held letter; a seeded
+        # word mostly is not pure either
+        held = pure + [(rng.choice(group.gens), rng.choice((1, -1, 3)))]
+        assert _outcome(h1_image, group, held) == (DiagramError, "word is not pure")
+        for impure in (held, _seeded_word(rng, group, rng.randrange(1, 12))):
+            assert (_outcome(h1_image, group, impure)
+                    == _outcome(_h1_one_gather_per_letter, group, impure))
+        # an unknown letter is named wherever it stands
+        i = rng.randrange(len(pure) + 1)
+        unknown = pure[:i] + [("q", rng.choice((-2, -1, 1, 2)))] + pure[i:]
+        assert (_outcome(h1_image, group, unknown)
+                == _outcome(_h1_one_gather_per_letter, group, unknown)
+                == (DiagramError, "unknown generator 'q'"))
+        # a word over the budget is refused before the walk
+        with monkeypatch.context() as m:
+            m.setenv("COXART_LETTER_BUDGET", str(word_length(pure) - 1))
+            over = _outcome(h1_image, group, pure)
+            assert over == _outcome(_h1_one_gather_per_letter, group, pure)
+            assert over[0] is BudgetExceeded

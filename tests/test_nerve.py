@@ -6,8 +6,15 @@ import json
 import pytest
 
 from coxart.cli import main
-from coxart.diagram import DiagramError, parse_diagram, sort_key, type_diagram
-from coxart.garside import ArtinEngine, BudgetExceeded, delta_power, parse_word
+from coxart.diagram import (
+    CoxeterDiagram,
+    DiagramError,
+    finite_type,
+    parse_diagram,
+    sort_key,
+    type_diagram,
+)
+from coxart.garside import ArtinEngine, BudgetExceeded, delta_power, delta_word, parse_word
 from coxart.homology import independence_check
 from coxart.nerve import (
     complex_on_subsets,
@@ -18,7 +25,7 @@ from coxart.nerve import (
     subdivision,
     subset_name,
 )
-from coxart.wgroup import build_group
+from coxart.wgroup import build_group, longest_word
 
 BRAID4 = parse_diagram("vertex s; vertex t; vertex u; edge s t 3; edge t u 3")
 
@@ -188,8 +195,6 @@ def test_subdivision_e7_counts():
 
 
 def test_b3_simplex_free_abelian_certificates():
-    from coxart.garside import ArtinEngine, delta_word
-
     d = type_diagram("B", 3)
     sub = subdivision(d)
     group = build_group(d)
@@ -426,3 +431,65 @@ def test_nerve_walk_meets_the_letter_budget_past_the_default(capsys, monkeypatch
                                    "1000\n")
     monkeypatch.delenv("COXART_LETTER_BUDGET")
     assert main(argv) == 0  # the default budget of 10**6 holds the walk
+
+
+# -- the per-diagram table of Delta_T words ------------------------------------
+
+SPHERICAL_PINNED = [name for name, source in PINNED_DIAGRAMS.items()
+                    if finite_type(parse_diagram(source)).is_spherical]
+
+
+def test_spherical_pinned_diagrams_are_the_expected_ones():
+    assert SPHERICAL_PINNED == ["A3", "B4", "D5", "F4", "H4", "E8", "I2(7)", "A2+A1"]
+
+
+@pytest.mark.parametrize("name", SPHERICAL_PINNED)
+def test_word_table_holds_the_words_a_fresh_diagram_derives(name):
+    d = parse_diagram(PINNED_DIAGRAMS[name])
+    subsets = list(spherical_subsets(d))
+    words = {s: longest_word(d, s) for s in subsets}
+    assert d._longest_words == words
+    for s in subsets:
+        again = longest_word(d, sorted(s, key=sort_key, reverse=True))
+        assert again is words[s]  # a hit, whatever order the subset comes in
+        assert longest_word(CoxeterDiagram(d.vertices, dict(d.labels)), s) == words[s]
+    assert longest_word(d, None) is words[frozenset(d.vertices)]
+    assert len(d._longest_words) == len(subsets)
+
+
+def test_delta_words_are_fresh_lists_over_the_table():
+    d = type_diagram("E", 8)
+    e7 = [v for v in d.vertices if v != "s7"]
+    first = delta_word(d, e7, 2)
+    expected = list(first)
+    first.append(("s7", 1))
+    first[0] = ("s8", -3)
+    assert delta_word(d, e7, 2) == expected
+    word = delta_power(d, e7, 1)
+    word.reverse()
+    assert delta_power(d, e7, 1) == expected[:len(expected) // 2]
+    assert isinstance(d._longest_words[frozenset(e7)], tuple)
+    assert list(d._longest_words) == [frozenset(e7)]
+
+
+def test_a_refused_subset_leaves_no_table_entry():
+    d = parse_diagram(PINNED_DIAGRAMS["A~3"])
+    with pytest.raises(DiagramError, match="not spherical"):
+        delta_word(d, d.vertices, 1)
+    with pytest.raises(DiagramError, match="unknown vertices"):
+        delta_word(d, ("a", "x"), 1)
+    with pytest.raises(DiagramError, match="not irreducible"):
+        delta_power(d, ("a", "c"), 1)
+    assert d._longest_words == {}
+    assert delta_word(d, ("a", "b"), 1) == [("a", 1), ("b", 1), ("a", 1)]
+
+
+@pytest.mark.parametrize("name", list(PINNED_DIAGRAMS))
+def test_walks_and_group_builds_leave_the_table_empty(name):
+    d = parse_diagram(PINNED_DIAGRAMS[name])
+    nerve(d)
+    subdivision(d)
+    for s in spherical_subsets(d):
+        finite_type(d, s)
+        build_group(d, s)
+    assert d._longest_words == {}

@@ -13,6 +13,7 @@ import coxart
 from coxart import suites
 from coxart.cli import main
 from coxart.diagram import ComponentType, CoxeterDiagram, type_diagram
+from coxart.garside import delta_word
 from coxart.homology import H1Vector
 from coxart.raag import ChoiceMap, FlagComplex
 
@@ -49,6 +50,18 @@ def test_coxeter_diagram_compares_vertices_and_labels_and_is_unhashable():
     with pytest.raises(TypeError):
         hash(d)
     assert repr(CoxeterDiagram(("a",))) == "CoxeterDiagram(vertices=('a',), labels={})"
+
+
+def test_a_filled_word_table_is_invisible_to_equality_and_repr():
+    d = type_diagram("D", 5)
+    shown = repr(d)
+    for subset in (None, ("s1", "s2"), ("s3", "s4", "s5")):
+        delta_word(d, subset, 2)
+    assert len(d._longest_words) == 3
+    fresh = type_diagram("D", 5)
+    assert d == fresh and not d != fresh
+    assert fresh == d and fresh._longest_words == {}
+    assert repr(d) == shown == repr(fresh)
 
 
 def test_tuple_records_compare_and_hash_by_their_fields():
