@@ -10,7 +10,6 @@ from .diagram import (
     CoxeterDiagram,
     DiagramError,
     FiniteTypeReport,
-    cone_diagram,
     finite_type,
     irreducible_components,
     parse_diagram,
@@ -24,7 +23,7 @@ from .garside import (
     delta_word,
     parse_word,
 )
-from .homology import h1_image, independence_check, is_pure, longest_hyperplane_audit
+from .homology import h1_image, independence_check, longest_hyperplane_audit
 from .nerve import Nerve, SubdividedNerve, nerve, phi_word, subdivision
 from .raag import (
     ChoiceMap,
@@ -60,7 +59,6 @@ __all__ = [
     "WordSystem",
     "avoidance_check",
     "build_group",
-    "cone_diagram",
     "delta_power",
     "delta_word",
     "finite_type",
@@ -68,7 +66,6 @@ __all__ = [
     "h1_image",
     "independence_check",
     "irreducible_components",
-    "is_pure",
     "longest_hyperplane_audit",
     "nerve",
     "parse_diagram",

@@ -146,7 +146,6 @@ def cmd_verify(args):
         if not isinstance(config, dict):
             raise ValueError("--config must be a JSON object, got %s"
                              % type(config).__name__)
-    letter_budget()  # a bad COXART_LETTER_BUDGET is a usage error, not a FAIL
     result = run_suite(args.suite, config)
     if args.json:
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
@@ -260,9 +259,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --budget holds for this command only; without it the caller's budget stands
-    token = RUN_BUDGET.set(getattr(args, "budget", None) or RUN_BUDGET.get())
+    token = None
     try:
+        # one budget for the whole command: --budget, else the caller's, else
+        # the variable read once here, so a malformed one is a usage error
+        token = RUN_BUDGET.set(getattr(args, "budget", None) or letter_budget())
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
         return code
@@ -276,7 +277,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     finally:
-        RUN_BUDGET.reset(token)
+        if token is not None:
+            RUN_BUDGET.reset(token)
 
 
 if __name__ == "__main__":

@@ -128,14 +128,9 @@ class CoxeterDiagram(FrozenRecord):
             return 1
         return self.labels.get(_pair(a, b), 2)
 
-    def edges(self, subset=None):
-        """Edge list [(a, b, m)] of the (induced) diagram, deterministic order."""
-        keep = set(self.vertices if subset is None else subset)
-        out = []
-        for pair, m in self.labels.items():
-            a, b = sorted(pair, key=sort_key)
-            if a in keep and b in keep:
-                out.append((a, b, m))
+    def edges(self):
+        """Edge list [(a, b, m)] of the diagram, deterministic order."""
+        out = [tuple(sorted(pair, key=sort_key)) + (m,) for pair, m in self.labels.items()]
         out.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
         return out
 
@@ -227,12 +222,13 @@ FiniteTypeReport = namedtuple("FiniteTypeReport", "is_spherical components")
 _RANK2_FAMILY = {3: "A", 4: "B", 5: "H", 6: "G"}
 
 
-def _chain(diagram, comp, prev, v):
-    """The vertices of the tree `comp` from v to a leaf, walking away from
-    prev; no vertex past v may branch."""
+def _chain(near, prev, v):
+    """The vertices of a tree from v to a leaf, walking away from prev, where
+    `near` maps each tree vertex to its neighbours; no vertex past v may
+    branch."""
     chain = [v]
     while True:
-        nxt = [w for w in diagram.neighbors(chain[-1], comp) if w != prev]
+        nxt = [w for w in near[chain[-1]] if w != prev]
         if not nxt:
             return chain
         prev = chain[-1]
@@ -252,24 +248,24 @@ def _classify_component(diagram, comp):
         family = _RANK2_FAMILY.get(m, "I")
         return ComponentType(family, 2, tuple(comp), p=m if family == "I" else 0)
 
-    edges = diagram.edges(keep)
-    if len(edges) != n - 1:  # a cycle never has finite type
+    near = {v: diagram.neighbors(v, keep) for v in comp}
+    degs = [len(near[v]) for v in comp]
+    if sum(degs) != 2 * (n - 1):  # more than n - 1 edges: a cycle, never finite
         return None
-    if any(m == INF for _, _, m in edges):
-        return None
+    # the tree's labels >= 4, each pair once; inf fails as a label >= 6
+    edges = [(a, b, diagram.labels[_pair(a, b)]) for a in comp for b in near[a] if a < b]
     big = [(a, b, m) for a, b, m in edges if m >= 4]
     if len(big) > 1 or any(m >= 6 for _, _, m in big):
         return None
 
     # a tree: either a path or branched at a single vertex of degree 3
-    degs = [len(diagram.neighbors(v, keep)) for v in comp]
     if max(degs) > 2:
         if big or max(degs) > 3 or degs.count(3) != 1:
             return None  # label >= 4 on a branched tree, or two branch points
         # simply laced D_n or E_n; each branch listed from the center outward
         center = comp[degs.index(3)]
         branches = sorted(
-            (_chain(diagram, keep, center, v) for v in diagram.neighbors(center, keep)),
+            (_chain(near, center, v) for v in near[center]),
             key=lambda b: (len(b), sort_key(b[0])))
         lens = tuple(len(b) for b in branches)
         if lens[0] == 1 and lens[1] == 1:
@@ -284,7 +280,7 @@ def _classify_component(diagram, comp):
         return None
 
     # a path, read from its first end
-    path = _chain(diagram, keep, None, comp[degs.index(1)])
+    path = _chain(near, None, comp[degs.index(1)])
     if not big:
         return ComponentType("A", n, tuple(path))
     a, b, m = big[0]
@@ -472,21 +468,6 @@ def parse_diagram(text):
         else:
             raise DiagramError("cannot parse line %r" % line)
     return CoxeterDiagram(tuple(vertices), labels)
-
-
-def cone_diagram(diagram, subset, new_name="cone"):
-    """Adjoin a new generator with m = 2 over `subset` and m = inf elsewhere."""
-    if new_name in diagram.vertices:
-        raise DiagramError("cone vertex %r collides with an existing vertex" % new_name)
-    keep = set(subset)
-    unknown = keep - set(diagram.vertices)
-    if unknown:
-        raise DiagramError("unknown vertices %s" % sorted(unknown))
-    labels = dict(diagram.labels)
-    for v in diagram.vertices:
-        if v not in keep:
-            labels[_pair(new_name, v)] = INF
-    return CoxeterDiagram(diagram.vertices + (new_name,), labels)
 
 
 def diagram_to_json(diagram):

@@ -35,14 +35,6 @@ class H1Vector(namedtuple("H1Vector", "coeffs")):
         return dict(self.coeffs)
 
 
-def is_pure(group, word):
-    """True iff the word lies in the kernel of A -> W, which sends both signs
-    of a letter to its simple reflection.  An unknown letter is passed on
-    whatever its power, so that word_to_element names it."""
-    return group.word_to_element(
-        g for g, e in word if e % 2 or g not in group.gens) == group.identity
-
-
 def h1_image(group, word):
     """Class of a pure Artin word in H_1 of the pure Artin group.
 

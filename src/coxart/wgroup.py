@@ -227,10 +227,9 @@ class WGroup(object):
     0..n_pos-1 are positive; root i + n_pos is the negative of root i.
     """
 
-    def __init__(self, diagram, subset=None):
-        subset, components = _spherical_components(diagram, subset)
+    def __init__(self, diagram):
+        self.gens, components = _spherical_components(diagram, None)
         self.diagram = diagram
-        self.gens = subset
 
         self.n_pos = sum(c.reflection_count for c in components)
         self.size = 2 * self.n_pos
@@ -361,6 +360,6 @@ class WGroup(object):
         return table
 
 
-def build_group(diagram, subset=None):
-    """WGroup for a spherical (subset of a) diagram; errors otherwise."""
-    return WGroup(diagram, subset)
+def build_group(diagram):
+    """WGroup for a spherical diagram; errors otherwise."""
+    return WGroup(diagram)

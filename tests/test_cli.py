@@ -286,6 +286,73 @@ def test_letter_budget_variable_is_honoured(capsys, monkeypatch):
     assert code == 2 and "letter budget 3" in err
 
 
+class _CountingEnviron(dict):
+    """A stand-in for os.environ that counts the reads of one variable."""
+
+    def __init__(self, key):
+        super().__init__(os.environ)
+        self.key, self.reads = key, 0
+
+    def get(self, key, default=None):
+        self.reads += key == self.key
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == self.key
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += key == self.key
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("value", [None, "50000"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "garside-core"),
+    ("nf", "--group", "type E 6", "--word", "s1 s2^-3 s6 s4^2 s1^-1"),
+    ("h1", "--group", "type B 3", "--word", "s1^2 s3^-4 s2^2"),
+])
+def test_a_command_reads_the_budget_variable_once(capsys, monkeypatch, argv, value):
+    if value is not None:
+        monkeypatch.setenv("COXART_LETTER_BUDGET", value)
+    env = _CountingEnviron("COXART_LETTER_BUDGET")
+    monkeypatch.setattr(os, "environ", env)
+    assert run(capsys, *argv)[0] == 0
+    assert env.reads == 1
+
+
+def test_every_command_refuses_a_bad_budget_variable(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [],
+                                "words": {"a": "a^2", "b": "b^2"}}))
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "abc")
+    message = "error: COXART_LETTER_BUDGET must be an integer >= 1, got 'abc'\n"
+    for argv in (("fold", "--diagram", "type B 3"), ("pp-check", "--words", str(path))):
+        assert run(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("variable", ["7", "abc"])
+@pytest.mark.parametrize("caller", [None, 4])
+def test_the_callers_budget_stands_after_a_command(capsys, monkeypatch, caller, variable):
+    from coxart.garside import RUN_BUDGET
+
+    monkeypatch.setenv("COXART_LETTER_BUDGET", variable)
+    token = RUN_BUDGET.set(caller)
+    try:
+        code, _, err = run(capsys, "nf", "--group", "type A 2", "--word", "s1^5")
+        # the caller's budget comes before the variable, which is then unread
+        if caller is not None:
+            assert (code, err) == (2, "resource budget exceeded: garside normal form: "
+                                      "word of 5 letters exceeds the letter budget 4\n")
+        elif variable == "abc":
+            assert code == 2 and err.startswith("error: COXART_LETTER_BUDGET")
+        else:
+            assert (code, err) == (0, "")
+        assert RUN_BUDGET.get() == caller
+    finally:
+        RUN_BUDGET.reset(token)
+
+
 def test_a_signed_budget_reads_as_its_digits(capsys, monkeypatch):
     # "+10" is an optional sign and ASCII digits, so it reads as 10
     argv = ("nf", "--group", "type A 2", "--word", "s1^12")

@@ -1,6 +1,7 @@
 """Static guards against dead code in the package: every function or method
 it defines is used by the package or the benchmark, and every name a module
-imports is used in that module.  Tests do not count as users."""
+imports is used in that module.  Tests do not count as users, and neither
+does an export in `__all__`."""
 
 import ast
 import os
@@ -29,7 +30,7 @@ def _used_names(tree):
 
 def test_every_function_is_used():
     src = _trees(_SRC)
-    used = set(coxart.__all__)
+    used = set()
     for tree in list(src.values()) + list(_trees(os.path.join(_ROOT, "perfbench")).values()):
         used |= _used_names(tree)
     unused = sorted(

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import os
+from itertools import combinations
 
 import pytest
 
@@ -8,15 +9,16 @@ import coxart
 
 from coxart.diagram import (
     DiagramError,
-    cone_diagram,
     finite_type,
     irreducible_components,
     parse_diagram,
     type_diagram,
     INF,
+    sort_key,
 )
 from coxart.folding import build_folded
 from coxart.nerve import subdivision
+from test_nerve import PINNED_DIAGRAMS
 
 
 def test_parse_type_shorthand():
@@ -158,31 +160,6 @@ def test_irreducible_components_b3_far_pair():
     assert len(comps) == 2
 
 
-def test_cone_over_empty():
-    d = type_diagram("A", 2)
-    coned = cone_diagram(d, (), "c")
-    assert coned.m("c", "s1") == INF and coned.m("c", "s2") == INF
-
-
-def test_cone_over_singleton():
-    d = type_diagram("A", 2)
-    coned = cone_diagram(d, ("s1",), "c")
-    assert coned.m("c", "s1") == 2
-    assert coned.m("c", "s2") == INF
-
-
-def test_cone_over_everything():
-    d = type_diagram("A", 2)
-    coned = cone_diagram(d, d.vertices, "c")
-    assert coned.m("c", "s1") == 2 and coned.m("c", "s2") == 2
-
-
-def test_cone_name_collision():
-    d = type_diagram("A", 2)
-    with pytest.raises(DiagramError):
-        cone_diagram(d, (), "s1")
-
-
 def test_irreducible_spherical_messages_of_both_callers():
     # delta_power and complex_on_subsets share one check: irreducibility
     # first, then sphericity, with the same messages
@@ -264,6 +241,128 @@ def test_component_orders_pinned(key):
         subsets = subdivision(d).vertex_subsets
         blob = [_components(d)] + [_components(d, subsets[k]) for k in sorted(subsets)]
     assert hashlib.sha256(repr(blob).encode()).hexdigest() == COMPONENT_DIGESTS[key]
+
+
+# -- the classifier against its earlier edge-scan spelling ----------------------
+
+def _scanned_edges(diagram, keep):
+    """[(a, b, m)] of the labels on pairs inside `keep`, each pair in
+    sort_key order, the list sorted: every label of the diagram is scanned."""
+    out = []
+    for pair, m in diagram.labels.items():
+        a, b = sorted(pair, key=sort_key)
+        if a in keep and b in keep:
+            out.append((a, b, m))
+    out.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+    return out
+
+
+def _scanned_chain(diagram, comp, prev, v):
+    chain = [v]
+    while True:
+        nxt = [w for w in diagram.neighbors(chain[-1], comp) if w != prev]
+        if not nxt:
+            return chain
+        prev = chain[-1]
+        chain.append(nxt[0])
+
+
+def _scanned_classify(diagram, comp):
+    """The classifier as it read a component's edges off `_scanned_edges`:
+    (family, rank, order, p), or None if the component is not spherical."""
+    keep, comp = comp, sorted(comp, key=sort_key)
+    n = len(comp)
+    if n == 1:
+        return ("A", 1, tuple(comp), 0)
+    if n == 2:
+        m = diagram.m(*comp)
+        if m == INF:
+            return None
+        family = {3: "A", 4: "B", 5: "H", 6: "G"}.get(m, "I")
+        return (family, 2, tuple(comp), m if family == "I" else 0)
+    edges = _scanned_edges(diagram, keep)
+    if len(edges) != n - 1 or any(m == INF for _, _, m in edges):
+        return None
+    big = [(a, b, m) for a, b, m in edges if m >= 4]
+    if len(big) > 1 or any(m >= 6 for _, _, m in big):
+        return None
+    degs = [len(diagram.neighbors(v, keep)) for v in comp]
+    if max(degs) > 2:
+        if big or max(degs) > 3 or degs.count(3) != 1:
+            return None
+        center = comp[degs.index(3)]
+        branches = sorted(
+            (_scanned_chain(diagram, keep, center, v)
+             for v in diagram.neighbors(center, keep)),
+            key=lambda b: (len(b), sort_key(b[0])))
+        lens = tuple(len(b) for b in branches)
+        if lens[0] == 1 and lens[1] == 1:
+            tail = branches[2][::-1] + [center]
+            forks = sorted((branches[0][0], branches[1][0]), key=sort_key)
+            return ("D", n, tuple(tail) + tuple(forks), 0)
+        if lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
+            chain = branches[1][::-1] + [center] + branches[2]
+            return ("E", n, tuple(chain) + (branches[0][0],), 0)
+        return None
+    path = _scanned_chain(diagram, keep, None, comp[degs.index(1)])
+    if not big:
+        return ("A", n, tuple(path), 0)
+    a, b, m = big[0]
+    pos = sorted((path.index(a), path.index(b)))
+    if m == 4:
+        if pos == [n - 2, n - 1]:
+            return ("B", n, tuple(path), 0)
+        if pos == [0, 1]:
+            return ("B", n, tuple(path[::-1]), 0)
+        if n == 4 and pos == [1, 2]:
+            order = path if sort_key(path[0]) < sort_key(path[-1]) else path[::-1]
+            return ("F", 4, tuple(order), 0)
+        return None
+    if n > 4:
+        return None
+    if pos == [0, 1]:
+        return ("H", n, tuple(path), 0)
+    if pos == [n - 2, n - 1]:
+        return ("H", n, tuple(path[::-1]), 0)
+    return None
+
+
+def _finite_types(diagram, subset):
+    """finite_type's components as (family, rank, order, p), else None."""
+    report = finite_type(diagram, subset)
+    return tuple(map(tuple, report.components)) if report.is_spherical else None
+
+
+def _scanned_finite_types(diagram, subset):
+    types = tuple(_scanned_classify(diagram, c)
+                  for c in irreducible_components(diagram, subset))
+    return None if None in types else types
+
+
+#: E_8 beside an inf-labelled triangle, joined to it by inf and 5: labels
+#: outside a subset of E_8's vertices that no such subset may see
+E8_AND_A_CYCLE = ("type E 8; vertex x; vertex y; vertex z; edge x y inf; "
+                  "edge y z 3; edge x z 3; edge x s1 inf; edge z s8 5")
+
+
+@pytest.mark.parametrize("source", list(PINNED_DIAGRAMS.values()) + [E8_AND_A_CYCLE] + [
+    "type %s %d%s" % (key[0], key[1], "" if key[2] is None else " %d" % key[2])
+    for key in COMPONENT_DIGESTS if key[0] != "fold"])
+def test_finite_type_matches_the_edge_scan_on_every_subset(source):
+    d = parse_diagram(source)
+    for r in range(len(d.vertices) + 1):
+        for subset in combinations(d.vertices, r):
+            assert _finite_types(d, subset) == _scanned_finite_types(d, subset), subset
+
+
+def test_labels_outside_a_subset_leave_its_type_alone():
+    d, e8 = parse_diagram(E8_AND_A_CYCLE), type_diagram("E", 8)
+    for r in range(9):
+        for subset in combinations(e8.vertices, r):
+            assert _finite_types(d, subset) == _finite_types(e8, subset), subset
+    assert _finite_types(d, ("x", "y", "z")) is None
+    assert _finite_types(d, ("s1", "x")) is None and _finite_types(d, ("s8", "z")) == (
+        ("H", 2, ("z", "s8"), 0),)
 
 
 def test_subset_names_round_trip_and_plus_names_are_refused():

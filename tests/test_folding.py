@@ -125,7 +125,7 @@ def test_compatibility_square():
             [(names[-1], 2), (names[0], 1)],
         ]
         comps = [frozenset(c) for c in component_subsets(fold, None)]
-        engines = {c: ArtinEngine(build_group(fold.target, c)) for c in comps}
+        engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
         for word in samples:
             via_f = []
             for name, exp in f_word(images, word):
@@ -200,7 +200,7 @@ def test_coxeter_element_transports_to_components():
         for comp in component_subsets(fold, None):
             restricted = [g for g in letters if g in comp]
             assert sorted(restricted) == sorted(comp)
-            group = build_group(fold.target, comp)
+            group = build_group(fold.target.induced(comp))
             order = group.order(group.word_to_element(restricted))
             assert order == group.coxeter_number()
 
@@ -216,7 +216,7 @@ def test_delta_square_image_factors_through_components():
         fold = build_folded(source)
         sub = subdivision(source)
         comps = [frozenset(c) for c in component_subsets(fold, None)]
-        engines = {c: ArtinEngine(build_group(fold.target, c)) for c in comps}
+        engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
         for name, subset in sub.vertex_subsets.items():
             image = psi_word(fold, delta_word(source, subset, 2))
             product = []
@@ -237,7 +237,7 @@ def test_h4_delta_square_image_is_e8_delta_square():
     fold = build_folded(source)
     sub = subdivision(source)
     comps = [frozenset(c) for c in component_subsets(fold, None)]
-    engines = {c: ArtinEngine(build_group(fold.target, c)) for c in comps}
+    engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
 
     image = psi_word(fold, delta_word(source, source.vertices, 2))
     for comp, eng in engines.items():

@@ -113,7 +113,7 @@ def test_delta_power_braid_subgroup_central():
     d = type_diagram("A", 7)
     subset = ("s1", "s2", "s3", "s4")
     word = delta_power(d, subset, 2)
-    eng = ArtinEngine(build_group(d, subset))
+    eng = ArtinEngine(build_group(d.induced(subset)))
     for g in subset:
         assert eng.commutes(word, [(g, 1)])
 
@@ -230,7 +230,7 @@ def _greedy_longest_word(d, subset):
     """The generic greedy: build W_T and peel the smallest left descent of
     its longest element, scanning for each descent with the test's own
     arithmetic."""
-    g = build_group(d, subset)
+    g = build_group(d.induced(subset))
     w, out = g.w0, []
     while True:
         inv = tuple(sorted(range(g.size), key=w.__getitem__))

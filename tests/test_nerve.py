@@ -491,5 +491,7 @@ def test_walks_and_group_builds_leave_the_table_empty(name):
     subdivision(d)
     for s in spherical_subsets(d):
         finite_type(d, s)
-        build_group(d, s)
+        sub = d.induced(s)
+        build_group(sub)
+        assert sub._longest_words == {}
     assert d._longest_words == {}

@@ -282,7 +282,7 @@ def test_compose_is_a_gather_and_associative(fam, n, p):
 def test_trivial_group_composes_and_normalises():
     from coxart.garside import ArtinEngine
 
-    g = build_group(type_diagram("A", 3), ())
+    g = build_group(type_diagram("A", 3).induced(()))
     assert g.size == 0 and g.identity == () == g.w0
     assert g.compose(g.identity, g.identity) == ()
     assert g.reflections() == []
