@@ -147,10 +147,7 @@ def cmd_verify(args):
             raise ValueError("--config must be a JSON object, got %s"
                              % type(config).__name__)
     result = run_suite(args.suite, config)
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(result.to_text())
+    _emit(args, result.to_json(), result.to_text())
     return result.exit_code
 
 

@@ -456,7 +456,7 @@ def e7_kernel_word_z(power=1):
     return raag_commutator(inner, [z(v_set, 1)])
 
 
-def e7_kernel_check(power=1):
+def e7_kernel_check(power):
     """Three-leg verification of the E_7 kernel element with m = `power`.
 
     (i) nontrivial in RA of the E_7 subdivision, (ii) nontrivial in the

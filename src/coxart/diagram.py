@@ -101,8 +101,7 @@ class CoxeterDiagram(FrozenRecord):
 
     _fields = ("vertices", "labels")
 
-    def __init__(self, vertices, labels=None):
-        labels = {} if labels is None else labels
+    def __init__(self, vertices, labels):
         near = {v: set() for v in vertices}
         if len(near) != len(vertices):
             raise DiagramError("duplicate vertex name")

@@ -124,12 +124,10 @@ def psi_word(fold, word):
     return substitute({g: [(x, 1) for x in f] for g, f in fold.fibers.items()}, word)
 
 
-def component_subsets(fold, subset=None):
+def component_subsets(fold, subset):
     """Connected components of the preimage of `subset` in the fold target."""
     fibers = fold.fibers
-    return irreducible_components(fold.target, {
-        x for g in (fold.source.vertices if subset is None else subset)
-        for x in fibers[g]})
+    return irreducible_components(fold.target, {x for g in subset for x in fibers[g]})
 
 
 def fold_images(fold, vertex_subsets):

@@ -138,7 +138,7 @@ def longest_hyperplane_indices(m):
 AuditReport = namedtuple("AuditReport", "ok words_scanned pure_words failures")
 
 
-def longest_hyperplane_audit(m, exponent_bound=3):
+def longest_hyperplane_audit(m, exponent_bound):
     """Exhaustively check that pure dihedral words of syllable length < m
     have an H1 image missing a longest hyperplane.
 

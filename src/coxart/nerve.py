@@ -125,20 +125,19 @@ def complex_on_subsets(diagram, subsets):
     return _subset_complex(diagram, named)
 
 
-def phi_word(diagram, n_power, raag_word, subdivided=None):
+def phi_word(diagram, n_power, raag_word, subdivided):
     """Substitute z_T^e -> Delta_T^(2*N*e); the image is an Artin word.
 
-    Letters of `raag_word` are subdivision vertex names.
+    Letters of `raag_word` are vertex names of `subdivided`, its subdivision.
     """
     if n_power < 1:
         raise ValueError("N must be a positive integer")
-    sub = subdivided if subdivided is not None else subdivision(diagram)
     deltas = {}
     for name, _ in raag_word:
-        if name not in sub.vertex_subsets:
+        if name not in subdivided.vertex_subsets:
             raise RaagError("unknown subdivision vertex %r" % (name,))
         if name not in deltas:
-            deltas[name] = delta_power(diagram, sub.vertex_subsets[name], 1)
+            deltas[name] = delta_power(diagram, subdivided.vertex_subsets[name], 1)
     letters = 2 * n_power * sum(abs(e) * len(deltas[v]) for v, e in raag_word)
     check_budget("phi word", letters)  # before the image is built
     return substitute({name: d * (2 * n_power) for name, d in deltas.items()}, raag_word)

@@ -13,6 +13,7 @@ import heapq
 from collections import namedtuple
 
 from .diagram import FrozenRecord, check_names, sort_key, subset_key, subset_name
+from .garside import DEFAULT_LETTER_BUDGET, check_budget
 
 
 class RaagError(ValueError):
@@ -133,7 +134,7 @@ class FlagComplex(FrozenRecord):
             "edges": [list(p) for p in self.edge_pairs()],
         }
 
-    def to_dot(self, name="complex"):
+    def to_dot(self, name):
         lines = ["graph %s {" % name]
         for v in self.vertices:
             lines.append('  "%s";' % v)
@@ -293,7 +294,8 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     Generates only lexicographic normal forms: a syllable may be appended
     when no commuting-past earlier syllable has the same vertex (reduced)
     or a larger vertex (canonical).  Prefixes of canonical words are
-    canonical, so the search tree has no dead duplicates.
+    canonical, so the search tree has no dead duplicates.  Past the default
+    letter budget, the number of words built meets the budget.
     """
     verts, nbrs = complex_.vertices, complex_.neighbours
     # The vertices that may follow a word, as a mask: after a syllable on
@@ -302,14 +304,19 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     every = (1 << len(verts)) - 1
     free = [every & ~(m | 1 << i) for i, m in enumerate(nbrs)]
     keep = [m & -(2 << i) for i, m in enumerate(nbrs)]
+    built = 0
 
     def rec(word, used, allowed):
+        nonlocal built
         for i in bit_positions(allowed):
             v = verts[i]
             after = free[i] | allowed & keep[i]
             for mag in range(1, max_len - used + 1):
                 for e in (mag, -mag):
                     word.append((v, e))
+                    built += 1
+                    if built > DEFAULT_LETTER_BUDGET:
+                        check_budget("word enumeration", built, "walk of %d words")
                     # x^a u x^b, a and b of opposite signs, is conjugate to a shorter word
                     if not (skip_cyclically_reducible and used and word[0][0] == v
                             and (word[0][1] > 0) != (e > 0)):

@@ -153,7 +153,7 @@ def _delta_sq_coxeter(engine):
     eng = engine()
     group = eng.w
     diagram = group.diagram
-    h = group.coxeter_number()
+    h = finite_type(diagram).components[0].coxeter_number  # every type here is irreducible
     nf = eng.normal_form(delta_word(diagram, diagram.vertices, 2))
     elements = _coxeter_elements(group)
     for ordering in elements.values():
@@ -584,7 +584,7 @@ def _psi_relations(fold):
     return "%d per-component relation checks" % checked
 
 
-def f_preserves_reduced(fold, src, images, max_len=4):
+def f_preserves_reduced(fold, src, images, max_len):
     """F maps reduced words to reduced words and is injective on the sample.
 
     `src` is the source subdivision and `images` its `fold_images` map.

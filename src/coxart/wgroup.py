@@ -329,19 +329,6 @@ class WGroup(object):
         steps = [(self._alpha[g], self.times[g], g) for g in gens]
         return tuple(_greedy_word(self.inverse(w), steps, n))
 
-    def order(self, w):
-        k = 1
-        cur = w
-        while cur != self.identity:
-            cur = self.compose(cur, w)
-            k += 1
-        return k
-
-    # -- distinguished elements -----------------------------------------
-
-    def coxeter_number(self):
-        return self.order(self.word_to_element(self.gens))
-
     def reflections(self):
         """Reflection permutations indexed by the positive root they negate,
         derived on each call: start from the simple reflections and walk the

@@ -701,6 +701,21 @@ def test_gtc_h1_leg_meets_the_budget_flag(capsys, monkeypatch):
                                    "-- 2 words, 0 through the Garside engine")
 
 
+def test_gtc_word_walk_meets_the_budget_past_its_floor(capsys, monkeypatch):
+    # max_len 7 on A_3 walks 1,059,588 words, past the floor of 10^6
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    argv = ("verify", "gtc-bounded", "--config", '{"type": "type A 3", "N": 1, "max_len": 7}')
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "[gtc-bounded] SKIPPED gtc-typeA3-N1-len7 -- word enumeration: "
+        "walk of 1000001 words exceeds the letter budget 1000000")
+    code, out, err = run(capsys, *argv, "--budget", "2000000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ("[gtc-bounded] PASS    gtc-typeA3-N1-len7 "
+                                   "-- 1059588 words, 400 through the Garside engine")
+
+
 def test_budget_flag_is_read_by_every_suite(capsys):
     code, out, err = run(capsys, "verify", "tits-classic", "--budget", "3", "--json")
     assert (code, err) == (0, "")

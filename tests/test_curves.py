@@ -369,7 +369,7 @@ def test_lantern_check():
 
 
 def test_e7_kernel_check():
-    report = e7_kernel_check()
+    report = e7_kernel_check(1)
     assert report.raag_nontrivial
     assert report.artin_nontrivial
     assert report.curve_raag_trivial

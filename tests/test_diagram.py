@@ -375,7 +375,7 @@ def test_subset_names_round_trip_and_plus_names_are_refused():
     with pytest.raises(DiagramError, match=r"^vertex name 's1\+s2' holds '\+'"):
         parse_diagram("vertex s1; vertex s2; vertex s1+s2; edge s1 s2 3")
     with pytest.raises(DiagramError, match=r"'\+b'"):
-        CoxeterDiagram(("a", "+b"))
+        CoxeterDiagram(("a", "+b"), {})
     with pytest.raises(RaagError, match=r"^vertex name 'a\+b' holds '\+'"):
         complex_from_json({"vertices": ["a", "b", "a+b"], "edges": [["a", "b"]]})
 

@@ -24,6 +24,7 @@ from coxart.nerve import complex_on_subsets, phi_word, subdivision, subset_name
 from coxart.raag import enumerate_reduced_words, raag_normal_form
 from coxart.suites import _tag, f_preserves_reduced, raaginj_mechanics, run_suite
 from coxart.wgroup import build_group
+from test_wgroup import coxeter_number, element_order
 
 
 def test_fold_i23_is_two_a2():
@@ -68,7 +69,7 @@ def test_validate_fold_raises_under_python_O():
     code = ("from coxart.diagram import CoxeterDiagram, DiagramError, type_diagram\n"
             "from coxart.folding import _validate_fold, build_folded\n"
             "fold = build_folded(type_diagram('B', 3))\n"
-            "broken = fold._replace(target=CoxeterDiagram(fold.target.vertices))\n"
+            "broken = fold._replace(target=CoxeterDiagram(fold.target.vertices, {}))\n"
             "try:\n"
             "    _validate_fold(broken)\n"
             "except DiagramError as exc:\n"
@@ -124,7 +125,7 @@ def test_compatibility_square():
             [(names[0], 1), (names[-1], -1)],
             [(names[-1], 2), (names[0], 1)],
         ]
-        comps = [frozenset(c) for c in component_subsets(fold, None)]
+        comps = [frozenset(c) for c in component_subsets(fold, fold.source.vertices)]
         engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
         for word in samples:
             via_f = []
@@ -197,12 +198,12 @@ def test_coxeter_element_transports_to_components():
         word = psi_word(fold, [(g, 1) for g in fold.source.vertices])
         letters = [g for g, _ in word]
         assert sorted(letters) == sorted(fold.target.vertices)
-        for comp in component_subsets(fold, None):
+        for comp in component_subsets(fold, fold.source.vertices):
             restricted = [g for g in letters if g in comp]
             assert sorted(restricted) == sorted(comp)
             group = build_group(fold.target.induced(comp))
-            order = group.order(group.word_to_element(restricted))
-            assert order == group.coxeter_number()
+            order = element_order(group, group.word_to_element(restricted))
+            assert order == coxeter_number(group)
 
 
 def test_delta_square_image_factors_through_components():
@@ -215,7 +216,7 @@ def test_delta_square_image_factors_through_components():
         source = parse_diagram(spec)
         fold = build_folded(source)
         sub = subdivision(source)
-        comps = [frozenset(c) for c in component_subsets(fold, None)]
+        comps = [frozenset(c) for c in component_subsets(fold, fold.source.vertices)]
         engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
         for name, subset in sub.vertex_subsets.items():
             image = psi_word(fold, delta_word(source, subset, 2))
@@ -236,7 +237,7 @@ def test_h4_delta_square_image_is_e8_delta_square():
     source = type_diagram("H", 4)
     fold = build_folded(source)
     sub = subdivision(source)
-    comps = [frozenset(c) for c in component_subsets(fold, None)]
+    comps = [frozenset(c) for c in component_subsets(fold, fold.source.vertices)]
     engines = {c: ArtinEngine(build_group(fold.target.induced(c))) for c in comps}
 
     image = psi_word(fold, delta_word(source, source.vertices, 2))

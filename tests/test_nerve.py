@@ -107,14 +107,14 @@ def test_complex_on_subsets_matches_subdivision():
 
 def test_phi_word_singleton_power():
     d = type_diagram("A", 2)
-    word = phi_word(d, 3, [("s1", 1)])
+    word = phi_word(d, 3, [("s1", 1)], subdivision(d))
     assert word == [("s1", 1)] * 6  # z_s -> s^(2N)
 
 
 def test_phi_word_edge_is_delta_power():
     d = parse_diagram("vertex s; vertex t; edge s t 3")
     eng = ArtinEngine(build_group(d))
-    word = phi_word(d, 1, [(subset_name(("s", "t")), 1)])
+    word = phi_word(d, 1, [(subset_name(("s", "t")), 1)], subdivision(d))
     assert eng.equals(word, parse_word("s t") * 3)
 
 

@@ -151,6 +151,25 @@ def test_enumerate_reduced_words_abelian():
     assert len(words) == 12
 
 
+def test_enumerate_reduced_words_meets_the_budget_past_its_floor(monkeypatch):
+    # a floor of 50 words: the free group's 52 words of length <= 3 pass it
+    from coxart import raag
+    from coxart.garside import BudgetExceeded
+
+    monkeypatch.setattr(raag, "DEFAULT_LETTER_BUDGET", 50)
+    free = FlagComplex("ab", [])
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "52")
+    assert len(list(enumerate_reduced_words(free, 3))) == 52
+    for budget, refused in (("51", 52), ("10", 51)):
+        monkeypatch.setenv("COXART_LETTER_BUDGET", budget)
+        got = []
+        with pytest.raises(BudgetExceeded) as info:
+            got.extend(enumerate_reduced_words(free, 3))
+        assert str(info.value) == ("word enumeration: walk of %d words exceeds "
+                                   "the letter budget %s" % (refused, budget))
+        assert len(got) == refused - 1  # the refused word was never yielded
+
+
 def test_word_system_validation():
     with pytest.raises(RaagError):  # not a simplex
         WordSystem(PATH, {frozenset(("a", "c")): [("a", 1), ("c", 1)]})
