@@ -46,15 +46,6 @@ class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundar
     def curves(self):
         return self.complex.vertices
 
-    @property
-    def intersections(self):
-        """Frozensets {c1, c2} of intersecting curves, derived from the complex."""
-        cs = self.curves
-        return frozenset(
-            frozenset((a, b)) for i, a in enumerate(cs) for b in cs[i + 1:]
-            if not self.complex.adjacent(a, b)
-        )
-
     def intersects(self, c1, c2):
         cx = self.complex
         return c1 != c2 and c1 in cx and c2 in cx and not cx.adjacent(c1, c2)
@@ -63,14 +54,14 @@ class CurveSystem(namedtuple("CurveSystem", "family rank diagram complex boundar
         return sorted(self.boundary, key=subset_key)
 
     def to_json(self):
+        cx, curves = self.complex, self.curves
         return {
             "family": self.family,
             "rank": self.rank,
-            "curves": list(self.curves),
-            "intersections": sorted(
-                [sorted(p, key=sort_key) for p in self.intersections],
-                key=lambda p: (sort_key(p[0]), sort_key(p[1])),
-            ),
+            "curves": list(curves),
+            # the curves are in sort_key order, so the pairs are too
+            "intersections": [[a, b] for i, a in enumerate(curves) for b in curves[i + 1:]
+                              if not cx.adjacent(a, b)],
             "boundary": {subset_name(s): list(cs) for s, cs in self.boundary.items()},
         }
 
@@ -154,10 +145,6 @@ def _interval_commutes(i1, j1, i2, j2):
     return nested or far
 
 
-def _t_name(i, j, primed):
-    return "t%d:%d%s" % (i, j, "'" if primed else "")
-
-
 def _t_single(i, j):
     return i == j or (j - i + 1) % 2 == 0
 
@@ -170,9 +157,9 @@ def _an_curve_count(n):
 
 
 def _an_pair_intersects(c1, c2):
-    """c = (i, j, primed); rule per the interval lemmas.  Equal intervals
-    nest, so the curves of one multicurve never meet."""
-    (i1, j1, p1), (i2, j2, p2) = c1, c2
+    """c = ("t", i, j, primed); rule per the interval lemmas.  Equal
+    intervals nest, so the curves of one multicurve never meet."""
+    (_, i1, j1, p1), (_, i2, j2, p2) = c1, c2
     if _interval_commutes(i1, j1, i2, j2):
         return False
     if _t_single(i1, j1) or _t_single(i2, j2):
@@ -182,28 +169,27 @@ def _an_pair_intersects(c1, c2):
     return True  # different start parity: all four pairs intersect
 
 
+def _interval_curves(m, desc, boundary):
+    """Add the interval curves on t1..tm, the A_m system that D_(m+2)
+    contains too: one per interval t_i..t_j, described as ("t", i, j,
+    primed), and a primed second for each interval of odd length >= 3."""
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            names = []
+            for primed in (False,) if _t_single(i, j) else (False, True):
+                names.append("t%d:%d%s" % (i, j, "'" if primed else ""))
+                desc[names[-1]] = ("t", i, j, primed)
+            boundary[frozenset("t%d" % k for k in range(i, j + 1))] = tuple(names)
+
+
 def build_an(n):
     """Boundary curves of the interval subsurfaces for the A_n system."""
     if n < 2:
         raise DiagramError("the A family needs rank >= 2")
     _check_pairs(_an_curve_count(n))
-    diagram = type_diagram("A", n, prefix="t")
-    gens = diagram.vertices
-
-    desc = {}
-    boundary = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            subset = frozenset(gens[i - 1:j])
-            names = [_t_name(i, j, False)]
-            desc[names[0]] = (i, j, False)
-            if not _t_single(i, j):
-                prim = _t_name(i, j, True)
-                names.append(prim)
-                desc[prim] = (i, j, True)
-            boundary[subset] = tuple(names)
-
-    return _system("An", n, diagram, desc,
+    desc, boundary = {}, {}
+    _interval_curves(n, desc, boundary)
+    return _system("An", n, type_diagram("A", n, prefix="t"), desc,
                    lambda a, b: _an_pair_intersects(desc[a], desc[b]), boundary)
 
 
@@ -267,7 +253,7 @@ def _dn_pair_intersects(d1, d2):
         s, t = (d1, d2) if d1[0] == "s" else (d2, d1)
         return t[1] <= s[1] <= t[2] and _sides_meet(_side_of(s), _side_of(t))
     if kinds == ("t", "t"):
-        return _an_pair_intersects(d1[1:], d2[1:])
+        return _an_pair_intersects(d1, d2)
     raise AssertionError((d1, d2))
 
 
@@ -303,13 +289,7 @@ def build_dn(n):
         else:
             boundary[subset] = (s_curve(0), s_curve(j + 1, False), s_curve(j + 1, True))
     # family (2): t-intervals, singletons included
-    for i in range(1, n - 1):
-        for j in range(i, n - 1):
-            subset = frozenset(t(k) for k in range(i, j + 1))
-            names = [add(_t_name(i, j, False), ("t", i, j, False))]
-            if not _t_single(i, j):
-                names.append(add(_t_name(i, j, True), ("t", i, j, True)))
-            boundary[subset] = tuple(names)
+    _interval_curves(n - 2, desc, boundary)
     # families (3) and (4): {s, t_1..t_j} and {s', t_1..t_j} of type A_(j+1)
     for primed, root in ((False, "s"), (True, "s'")):
         rname = "r%d%s"

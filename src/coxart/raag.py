@@ -408,20 +408,26 @@ def _pp_consistent(system, sims, chosen, i):
 
 def pp_search_all(system):
     """Yield every valid Property PP choice map (exhaustive backtracking),
-    trying the simplices that commute with the most others first."""
+    trying the simplices that commute with the most others first; past the
+    default letter budget, the choice pairs compared meet the budget."""
     sims = system.simplices()
     deg = {a: sum(1 for b in sims if b != a and system.commute(a, b))
            for a in sims}
     sims = sorted(sims, key=lambda s: (-deg[s], sorted(map(sort_key, s))))
     chosen = {}
+    pairs = 0
 
     def rec(i):
+        nonlocal pairs
         if i == len(sims):
             yield ChoiceMap(dict(chosen))
             return
         simplex = sims[i]
         for v in sorted(simplex, key=sort_key):
             chosen[simplex] = v
+            pairs += i
+            if pairs > DEFAULT_LETTER_BUDGET:
+                check_budget("pp search", pairs, "search of %d choice pairs")
             if _pp_consistent(system, sims, chosen, i):
                 yield from rec(i + 1)
             del chosen[simplex]

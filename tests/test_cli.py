@@ -716,6 +716,78 @@ def test_gtc_word_walk_meets_the_budget_past_its_floor(capsys, monkeypatch):
                                    "-- 1059588 words, 400 through the Garside engine")
 
 
+def _crafted_pp_file(tmp_path, k):
+    """The 4-cycle zza-zzb-zzc-zzd with the words zza, zzd and zzb zzc, which
+    admit no PP map, beside k disjoint edges a_i-b_i with the words a_i b_i.
+    The degree order tries {zzb, zzc} last, so the search has 2^(k+2) nodes."""
+    vertices = ["zza", "zzb", "zzc", "zzd"]
+    edges = [["zza", "zzb"], ["zzb", "zzc"], ["zzc", "zzd"], ["zzd", "zza"]]
+    words = {"zza": "zza", "zzd": "zzd", "zzb+zzc": "zzb zzc"}
+    for i in range(1, k + 1):
+        a, b = "a%d" % i, "b%d" % i
+        vertices += [a, b]
+        edges.append([a, b])
+        words["%s+%s" % (a, b)] = "%s %s" % (a, b)
+    path = tmp_path / "crafted.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges, "words": words}))
+    return str(path)
+
+
+def test_pp_search_meets_the_budget_past_its_floor(tmp_path, capsys, monkeypatch):
+    # k = 4: the whole search compares 321 choice pairs
+    from coxart import raag
+
+    path = _crafted_pp_file(tmp_path, 4)
+    monkeypatch.setattr(raag, "DEFAULT_LETTER_BUDGET", 100)
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "100")
+    assert run(capsys, "pp-check", "--words", path) == (
+        2, "", "resource budget exceeded: pp search: search of 106 choice pairs "
+               "exceeds the letter budget 100\n")
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "321")
+    assert run(capsys, "pp-check", "--words", path) == (
+        1, "no Property PP choice exists\n", "")
+
+
+def test_fold_meets_the_budget_past_its_floor(capsys, monkeypatch):
+    # N = lcm(4, 6) = 12 fiber copies of each of 3 generators
+    from coxart import folding
+
+    argv = ("fold", "--diagram", "vertex a; vertex b; vertex c; edge a b 5; edge b c 7")
+    monkeypatch.setattr(folding, "DEFAULT_LETTER_BUDGET", 30)
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "35")
+    assert run(capsys, *argv) == (
+        2, "", "resource budget exceeded: fold: fold of 36 generators exceeds "
+               "the letter budget 35\n")
+    monkeypatch.setenv("COXART_LETTER_BUDGET", "36")
+    code, out, err = run(capsys, *argv)
+    assert (code, err, json.loads(out)["fiber_size"]) == (0, "", 12)
+
+
+def test_reflection_labels_meet_the_budget_past_their_floor(capsys, monkeypatch):
+    # I_2(7) has 7 positive roots: a table of 7 * 14 root images
+    from coxart import homology
+
+    argv = ("h1", "--group", "type I 2 7", "--word", "s1^2")
+    monkeypatch.setattr(homology, "DEFAULT_LETTER_BUDGET", 90)
+    assert run(capsys, *argv, "--budget", "97") == (
+        2, "", "resource budget exceeded: reflection labels: table of 98 root images "
+               "exceeds the letter budget 97\n")
+    assert run(capsys, *argv, "--budget", "98") == (0, "s1:1\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fold", "--diagram", "vertex a; vertex b; vertex c; vertex d; vertex e; "
+      "edge a b 38; edge b c 42; edge c d 44; edge d e 48"),
+     "fold: fold of 15329285 generators"),
+    (("h1", "--group", "type I 2 20000", "--word", "s1^2"),
+     "reflection labels: table of 800000000 root images"),
+])
+def test_default_budget_refuses_a_huge_fold_or_label_table(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("COXART_LETTER_BUDGET", raising=False)
+    assert run(capsys, *argv) == (
+        2, "", "resource budget exceeded: %s exceeds the letter budget 1000000\n" % message)
+
+
 def test_budget_flag_is_read_by_every_suite(capsys):
     code, out, err = run(capsys, "verify", "tits-classic", "--budget", "3", "--json")
     assert (code, err) == (0, "")

@@ -153,6 +153,18 @@ def test_dn_s0_is_isolated():
         assert not system.intersects("s0", c)
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_dn_t_family_is_the_a_system_of_rank_n_minus_2(n):
+    dn, an = build_dn(n), build_an(n - 2)
+    t_only = {s: cs for s, cs in dn.boundary.items()
+              if all(g.startswith("t") for g in s)}
+    assert t_only == an.boundary
+    t_curves = [c for c in dn.curves if c.startswith("t")]
+    assert t_curves == list(an.curves)
+    for a, b in itertools.combinations(t_curves, 2):
+        assert dn.intersects(a, b) == an.intersects(a, b), (a, b)
+
+
 def test_multitwist_words():
     system = build_dn(6)
     w = multitwist_word(system, ("t2",))
@@ -252,7 +264,7 @@ def test_dn4_relation_forced_by_audit_constraints():
     assert len(disjoint) == 57 and len(meeting) == 21
     assert not disjoint & meeting
     assert pairs - disjoint - meeting == set()  # no pair is left free
-    assert meeting == system.intersections
+    assert meeting == {p for p in pairs if system.intersects(*p)}
 
 
 def test_dn4_brute_force_admits_exactly_three_pp_maps():
@@ -279,8 +291,8 @@ def test_dn5_core_admits_no_pp_map():
     system = build_dn(5)
     disjoint, meeting = _forced_relation(system)
     # build_dn(5) is one of the relations the constraints allow
-    assert meeting <= system.intersections
-    assert not disjoint & system.intersections
+    assert all(system.intersects(*p) for p in meeting)
+    assert not any(system.intersects(*p) for p in disjoint)
     d4 = frozenset(("s", "s'", "t1", "t2"))
     s_side = frozenset(("s", "t1", "t2", "t3"))
     sp_side = frozenset(("s'", "t1", "t2", "t3"))
@@ -503,7 +515,7 @@ def test_a22_build_peaks_under_a_megabyte():
         tracemalloc.stop()
     assert peak < 1_000_000, "building A_22 peaked at %d bytes" % peak
     assert len(system.curves) == 363
-    assert len(system.intersections) == 363 * 362 // 2 - 44342
+    assert len(system.to_json()["intersections"]) == 363 * 362 // 2 - 44342
 
 
 def test_intersects_is_false_for_an_unknown_curve():
@@ -511,7 +523,8 @@ def test_intersects_is_false_for_an_unknown_curve():
     assert not system.intersects("t1:3", "nowhere")
     assert not system.intersects("nowhere", "nowhere")
     assert not system.intersects("t1:3", "t1:3")
-    assert all(system.intersects(*sorted(p)) for p in system.intersections)
+    assert all(system.intersects(a, b) and system.intersects(b, a)
+               for a, b in system.to_json()["intersections"])
 
 
 #: sha256 of `build_system(family, rank).to_json()` (keys sorted), recorded

@@ -377,7 +377,8 @@ def _commute_or_nest(labels, s, t):
 
 
 def _oracle_graph(name):
-    """(complex, vertices, edge pairs), the pairs computed without FlagComplex."""
+    """(complex, vertices, edge pairs); a subdivision's pairs are computed
+    without FlagComplex, a curve system's read from `intersects`."""
     from coxart.curves import build_an, build_dn
     from coxart.diagram import type_diagram
     from coxart.nerve import subdivision
@@ -386,7 +387,7 @@ def _oracle_graph(name):
         system = (build_an if name[0] == "A" else build_dn)(int(name[1:-7]))
         vs = list(system.curves)
         pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
-                 if frozenset((a, b)) not in system.intersections]
+                 if not system.intersects(a, b)]
         return system.complex, vs, pairs
     diagram = type_diagram(name[0], int(name[1:]))
     sub = subdivision(diagram)
