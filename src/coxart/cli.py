@@ -16,8 +16,8 @@ import sys
 from .curves import FAMILIES, build_system
 from .diagram import DiagramError, finite_type, name_subset, parse_diagram, read_int
 from .folding import build_folded
-from .garside import (DEFAULT_LETTER_BUDGET, RUN_BUDGET, ArtinEngine, BudgetExceeded,
-                      check_budget, letter_budget, parse_word)
+from .garside import (RUN_BUDGET, ArtinEngine, BudgetExceeded, check_size, letter_budget,
+                      parse_word)
 from .homology import h1_image, reflection_labels
 from .nerve import DEFAULT_MAX_RANK, nerve, subdivision
 from .raag import RaagError, WordSystem, complex_from_json, generalized_pp_check, pp_search
@@ -41,13 +41,11 @@ def _load_diagram(spec):
 
 
 def _load_group(spec):
-    """The Coxeter group of a diagram argument.  A group of more roots
-    (2|Phi+|) than the letter budget is refused before it is built, once it
-    is past the default budget too: a smaller budget bounds words only."""
+    """The Coxeter group of a diagram argument; its 2|Phi+| roots meet the
+    letter budget, past the size floor, before it is built."""
     diagram = _load_diagram(spec)
     roots = 2 * sum(c.reflection_count for c in finite_type(diagram).components)
-    if roots > DEFAULT_LETTER_BUDGET:
-        check_budget("coxeter group", roots, "group of %d roots")
+    check_size("coxeter group", roots, "group of %d roots")
     return build_group(diagram)
 
 

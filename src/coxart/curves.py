@@ -16,7 +16,7 @@ from importlib import resources
 
 from .diagram import (CoxeterDiagram, DiagramError, name_subset, sort_key, subset_key,
                       subset_name, type_diagram)
-from .garside import ArtinEngine, BudgetExceeded, check_budget, word_length
+from .garside import ArtinEngine, BudgetExceeded, check_size, word_length
 from .nerve import nested_or_commuting, phi_word, subdivision
 from .raag import (
     ChoiceMap,
@@ -121,10 +121,9 @@ def audit_system(system):
 
 
 def _check_pairs(curves):
-    """Meet the letter budget with the curve pairs of a system before it is
-    built: `_system` asks each pair once, and the subsets of a ranked
-    family hold memory cubic in the rank."""
-    check_budget("curve system", curves * (curves - 1) // 2, "system of %d curve pairs")
+    """Meet the budget with a system's curve pairs before it is built: `_system`
+    asks each pair once; a ranked family's subsets hold memory cubic in the rank."""
+    check_size("curve system", curves * (curves - 1) // 2, "system of %d curve pairs")
 
 
 def _system(family, rank, diagram, curves, meets, boundary):

@@ -189,9 +189,7 @@ class ComponentType(namedtuple("ComponentType", "family rank order p", defaults=
 
     @property
     def tag(self):
-        if self.family == "I":
-            return "I_2(%d)" % self.p
-        return "%s_%d" % (self.family, self.rank)
+        return "I_2(%d)" % self.p if self.family == "I" else "%s_%d" % (self.family, self.rank)
 
     @property
     def coxeter_number(self):

@@ -21,7 +21,7 @@ from .diagram import (
     sort_key,
     subset_name,
 )
-from .garside import DEFAULT_LETTER_BUDGET, check_budget
+from .garside import check_size
 from .raag import substitute
 
 
@@ -45,8 +45,8 @@ class FoldedDiagram(namedtuple("FoldedDiagram",
 
 
 def build_folded(diagram):
-    """Fold a connected diagram with finite labels into small type; past the
-    default letter budget, its N|S| generators meet the budget first."""
+    """Fold a connected diagram with finite labels into small type; its N|S|
+    generators meet the budget first, past the size floor."""
     comps = irreducible_components(diagram)
     if len(comps) != 1:
         raise DiagramError("folding needs a connected diagram")
@@ -54,8 +54,7 @@ def build_folded(diagram):
         raise DiagramError("folding needs finite labels")
     labels = [m for _, _, m in diagram.edges()]
     n = lcm(*[m - 1 for m in labels]) if labels else 1
-    if n * len(diagram.vertices) > DEFAULT_LETTER_BUDGET:
-        check_budget("fold", n * len(diagram.vertices), "fold of %d generators")
+    check_size("fold", n * len(diagram.vertices), "fold of %d generators")
 
     fibers = {
         g: tuple("%s~%d" % (g, i) for i in range(1, n + 1))

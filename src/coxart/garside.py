@@ -35,6 +35,7 @@ from .diagram import DiagramError, read_int, require_irreducible_spherical
 from .wgroup import longest_word
 
 DEFAULT_LETTER_BUDGET = 10 ** 6
+SIZE_FLOOR = DEFAULT_LETTER_BUDGET
 _BUDGET_ENV = "COXART_LETTER_BUDGET"
 #: the letter budget of the current context (one CLI command); None reads the variable
 RUN_BUDGET = contextvars.ContextVar("RUN_BUDGET", default=None)
@@ -66,6 +67,13 @@ def check_budget(layer, count, what="word of %d letters"):
     if count > budget:
         raise BudgetExceeded("%s: %s exceeds the letter budget %d"
                              % (layer, what % count, budget))
+
+
+def check_size(layer, count, what):
+    """Meet the letter budget with `count`, a size that is not a word's letters
+    (`what` names it), past SIZE_FLOOR only: a smaller budget bounds words."""
+    if count > SIZE_FLOOR:
+        check_budget(layer, count, what)
 
 
 # -- Artin words -------------------------------------------------------------

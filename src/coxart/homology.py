@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import gcd
 
 from .diagram import DiagramError, type_diagram
-from .garside import DEFAULT_LETTER_BUDGET, check_budget, word_length
+from .garside import check_budget, check_size, word_length
 from .wgroup import build_group
 
 
@@ -120,10 +120,9 @@ def independence_check(group, words):
 
 def reflection_labels(group, root_indices):
     """Reduced words of the reflections negating the given positive roots,
-    read off one table of 2 n_pos^2 root images; past the default letter
-    budget, these meet the budget before the table is built."""
-    if 2 * group.n_pos ** 2 > DEFAULT_LETTER_BUDGET:
-        check_budget("reflection labels", 2 * group.n_pos ** 2, "table of %d root images")
+    read off one table of 2 n_pos^2 root images; past the size floor, these
+    meet the budget before the table is built."""
+    check_size("reflection labels", 2 * group.n_pos ** 2, "table of %d root images")
     table = group.reflections()
     return ["".join(group.reduced_word(table[r])) for r in root_indices]
 

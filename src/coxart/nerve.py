@@ -13,7 +13,7 @@ from .diagram import (
     subset_key,
     subset_name,
 )
-from .garside import DEFAULT_LETTER_BUDGET, check_budget, delta_power
+from .garside import check_budget, check_size, delta_power
 from .raag import FlagComplex, RaagError, substitute
 
 DEFAULT_MAX_RANK = 12
@@ -26,8 +26,8 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
     One walk on an explicit stack (a set may outgrow Python's recursion
     limit) grows each spherical set by the vertices after its last one and
     classifies each candidate once; a non-spherical set has no spherical
-    superset, so it is not grown.  Past the default letter budget, the
-    letters the found sets hold, the sum of their sizes, meet the budget.
+    superset, so it is not grown.  Past the size floor, the letters the
+    found sets hold, the sum of their sizes, meet the budget.
     """
     if len(diagram.vertices) > max_rank:
         raise DiagramError("diagram has %d vertices; raise max_rank to walk its "
@@ -43,8 +43,7 @@ def spherical_subsets(diagram, max_rank=DEFAULT_MAX_RANK):
             if report.is_spherical:
                 found[cand] = len(report.components) == 1
                 letters += len(cand)
-                if letters > DEFAULT_LETTER_BUDGET:
-                    check_budget("nerve walk", letters, "lattice holding %d vertex letters")
+                check_size("nerve walk", letters, "lattice holding %d vertex letters")
                 stack.append((cand, i + 1))
     return {s: found[s] for s in sorted(found, key=subset_key)}
 

@@ -13,7 +13,7 @@ import heapq
 from collections import namedtuple
 
 from .diagram import FrozenRecord, check_names, sort_key, subset_key, subset_name
-from .garside import DEFAULT_LETTER_BUDGET, check_budget
+from .garside import check_size
 
 
 class RaagError(ValueError):
@@ -294,8 +294,8 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
     Generates only lexicographic normal forms: a syllable may be appended
     when no commuting-past earlier syllable has the same vertex (reduced)
     or a larger vertex (canonical).  Prefixes of canonical words are
-    canonical, so the search tree has no dead duplicates.  Past the default
-    letter budget, the number of words built meets the budget.
+    canonical, so the search tree has no dead duplicates.  Past the size
+    floor, the number of words built meets the budget.
     """
     verts, nbrs = complex_.vertices, complex_.neighbours
     # The vertices that may follow a word, as a mask: after a syllable on
@@ -315,8 +315,7 @@ def enumerate_reduced_words(complex_, max_len, skip_cyclically_reducible=False):
                 for e in (mag, -mag):
                     word.append((v, e))
                     built += 1
-                    if built > DEFAULT_LETTER_BUDGET:
-                        check_budget("word enumeration", built, "walk of %d words")
+                    check_size("word enumeration", built, "walk of %d words")
                     # x^a u x^b, a and b of opposite signs, is conjugate to a shorter word
                     if not (skip_cyclically_reducible and used and word[0][0] == v
                             and (word[0][1] > 0) != (e > 0)):
@@ -409,7 +408,7 @@ def _pp_consistent(system, sims, chosen, i):
 def pp_search_all(system):
     """Yield every valid Property PP choice map (exhaustive backtracking),
     trying the simplices that commute with the most others first; past the
-    default letter budget, the choice pairs compared meet the budget."""
+    size floor, the choice pairs compared meet the budget."""
     sims = system.simplices()
     deg = {a: sum(1 for b in sims if b != a and system.commute(a, b))
            for a in sims}
@@ -426,8 +425,7 @@ def pp_search_all(system):
         for v in sorted(simplex, key=sort_key):
             chosen[simplex] = v
             pairs += i
-            if pairs > DEFAULT_LETTER_BUDGET:
-                check_budget("pp search", pairs, "search of %d choice pairs")
+            check_size("pp search", pairs, "search of %d choice pairs")
             if _pp_consistent(system, sims, chosen, i):
                 yield from rec(i + 1)
             del chosen[simplex]

@@ -24,6 +24,7 @@ from .curves import (
     to_word_system,
 )
 from .diagram import (
+    ComponentType,
     finite_type,
     irreducible_components,
     parse_diagram,
@@ -126,7 +127,7 @@ def _int_option(key, value, least):
 
 
 def _tag(fam, n, p):
-    return "%s%d%s" % (fam, n, "(%d)" % p if p else "")
+    return ComponentType(fam, n, (), p).tag.replace("_", "")
 
 
 def _alternating(a, b, m):

@@ -735,10 +735,10 @@ def _crafted_pp_file(tmp_path, k):
 
 def test_pp_search_meets_the_budget_past_its_floor(tmp_path, capsys, monkeypatch):
     # k = 4: the whole search compares 321 choice pairs
-    from coxart import raag
+    from coxart import garside
 
     path = _crafted_pp_file(tmp_path, 4)
-    monkeypatch.setattr(raag, "DEFAULT_LETTER_BUDGET", 100)
+    monkeypatch.setattr(garside, "SIZE_FLOOR", 100)
     monkeypatch.setenv("COXART_LETTER_BUDGET", "100")
     assert run(capsys, "pp-check", "--words", path) == (
         2, "", "resource budget exceeded: pp search: search of 106 choice pairs "
@@ -750,10 +750,10 @@ def test_pp_search_meets_the_budget_past_its_floor(tmp_path, capsys, monkeypatch
 
 def test_fold_meets_the_budget_past_its_floor(capsys, monkeypatch):
     # N = lcm(4, 6) = 12 fiber copies of each of 3 generators
-    from coxart import folding
+    from coxart import garside
 
     argv = ("fold", "--diagram", "vertex a; vertex b; vertex c; edge a b 5; edge b c 7")
-    monkeypatch.setattr(folding, "DEFAULT_LETTER_BUDGET", 30)
+    monkeypatch.setattr(garside, "SIZE_FLOOR", 30)
     monkeypatch.setenv("COXART_LETTER_BUDGET", "35")
     assert run(capsys, *argv) == (
         2, "", "resource budget exceeded: fold: fold of 36 generators exceeds "
@@ -765,10 +765,10 @@ def test_fold_meets_the_budget_past_its_floor(capsys, monkeypatch):
 
 def test_reflection_labels_meet_the_budget_past_their_floor(capsys, monkeypatch):
     # I_2(7) has 7 positive roots: a table of 7 * 14 root images
-    from coxart import homology
+    from coxart import garside
 
     argv = ("h1", "--group", "type I 2 7", "--word", "s1^2")
-    monkeypatch.setattr(homology, "DEFAULT_LETTER_BUDGET", 90)
+    monkeypatch.setattr(garside, "SIZE_FLOOR", 90)
     assert run(capsys, *argv, "--budget", "97") == (
         2, "", "resource budget exceeded: reflection labels: table of 98 root images "
                "exceeds the letter budget 97\n")

@@ -111,23 +111,24 @@ def test_an_same_parity_mixed_pairs_disjoint():
 
 @pytest.mark.parametrize("build, ranks", [(build_an, range(2, 13)),
                                           (build_dn, range(4, 13))])
-def test_curve_budget_meets_the_exact_pair_count(build, ranks):
-    from coxart.garside import RUN_BUDGET, BudgetExceeded
+def test_curve_budget_meets_the_exact_pair_count(build, ranks, monkeypatch):
+    # a budget of 1 bounds the pairs only once they pass the size floor
+    from coxart import garside
 
-    for n in ranks:
-        curves = len(build(n).curves)
-        pairs = curves * (curves - 1) // 2
-        token = RUN_BUDGET.set(pairs)
-        try:
+    counts = {n: len(build(n).curves) for n in ranks}
+    token = garside.RUN_BUDGET.set(1)
+    try:
+        for n, curves in counts.items():
+            pairs = curves * (curves - 1) // 2
+            monkeypatch.setattr(garside, "SIZE_FLOOR", pairs)
             assert len(build(n).curves) == curves
-            RUN_BUDGET.set(pairs - 1)
-            with pytest.raises(BudgetExceeded) as info:
+            monkeypatch.setattr(garside, "SIZE_FLOOR", pairs - 1)
+            with pytest.raises(garside.BudgetExceeded) as info:
                 build(n)
-        finally:
-            RUN_BUDGET.reset(token)
-        assert str(info.value) == (
-            "curve system: system of %d curve pairs exceeds the letter budget %d"
-            % (pairs, pairs - 1))
+            assert str(info.value) == (
+                "curve system: system of %d curve pairs exceeds the letter budget 1" % pairs)
+    finally:
+        garside.RUN_BUDGET.reset(token)
 
 
 def test_dn_r_curves_all_cross():

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import itertools
 import json
 
@@ -418,13 +417,13 @@ def test_spherical_subsets_match_a_networkx_oracle(name):
 
 
 def test_nerve_walk_meets_the_letter_budget_past_the_default(capsys, monkeypatch):
-    # the package exports the function nerve, which hides the module's name
-    nerve_module = importlib.import_module("coxart.nerve")
+    from coxart import garside
+
     argv = ["export", "--what", "nerve", "--diagram", "type A 11"]  # 2047 subsets, 11264 letters
     monkeypatch.setenv("COXART_LETTER_BUDGET", "1000")
     assert main(argv) == 0  # below the default budget, only words are bounded
     capsys.readouterr()
-    monkeypatch.setattr(nerve_module, "DEFAULT_LETTER_BUDGET", 1000)
+    monkeypatch.setattr(garside, "SIZE_FLOOR", 1000)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "resource budget exceeded: nerve walk: lattice "
                                    "holding 1005 vertex letters exceeds the letter budget "

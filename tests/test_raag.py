@@ -153,10 +153,10 @@ def test_enumerate_reduced_words_abelian():
 
 def test_enumerate_reduced_words_meets_the_budget_past_its_floor(monkeypatch):
     # a floor of 50 words: the free group's 52 words of length <= 3 pass it
-    from coxart import raag
+    from coxart import garside
     from coxart.garside import BudgetExceeded
 
-    monkeypatch.setattr(raag, "DEFAULT_LETTER_BUDGET", 50)
+    monkeypatch.setattr(garside, "SIZE_FLOOR", 50)
     free = FlagComplex("ab", [])
     monkeypatch.setenv("COXART_LETTER_BUDGET", "52")
     assert len(list(enumerate_reduced_words(free, 3))) == 52
